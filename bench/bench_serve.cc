@@ -13,7 +13,10 @@
 //
 // With GALE_BENCH_JSON_DIR set, per-(workload, callers) medians are also
 // written to $GALE_BENCH_JSON_DIR/BENCH_serve.json for
-// tools/bench_check.sh (see bench_common.h for the record format).
+// tools/bench_check.sh (see bench_common.h for the record format). The
+// caller count is part of the record name ("serve batch 64 / 4 callers");
+// `threads` is the library pool's util::Parallelism(), as in every other
+// bench.
 //
 // Usage: bench_serve [--repeats N]
 
@@ -32,6 +35,7 @@
 #include "obs/stopwatch.h"
 #include "serve/batcher.h"
 #include "serve/snapshot.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
 
@@ -147,7 +151,10 @@ int main(int argc, char** argv) {
       }
       const double ms =
           *std::min_element(seconds.begin(), seconds.end()) * 1e3;
-      json.Record(name, callers, repeats, bench::Median(seconds) * 1e9);
+      json.Record(name + " / " + std::to_string(callers) +
+                      (callers == 1 ? " caller" : " callers"),
+                  util::Parallelism(), repeats,
+                  bench::Median(seconds) * 1e9);
       if (callers == 4 && max_batch == 1) batch1_4c_ms = ms;
       if (callers == 4 && max_batch == 64) batch64_4c_ms = ms;
       char buf[32];

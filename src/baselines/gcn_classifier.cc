@@ -81,7 +81,7 @@ util::Status GcnClassifier::Train(const la::Matrix& features,
     nn::SoftmaxCrossEntropy(logits, class_index, mask, &grad_, row_weights,
                             &ws_);
     model_.ZeroGrad();
-    model_.Backward(grad_);
+    model_.BackwardParams(grad_);
     optimizer_.Step(model_.Parameters(), model_.Gradients());
     alloc_guard.reset();
 

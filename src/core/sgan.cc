@@ -222,23 +222,22 @@ SganEpochStats Sgan::RunEpoch(const la::Matrix& x_real,
   GALE_DCHECK_FINITE(stats.d_loss) << "discriminator loss diverged";
 
   discriminator_.ZeroGrad();
-  discriminator_.Backward(grad_sup_);
+  discriminator_.BackwardParams(grad_sup_);
   d_optimizer_.Step(discriminator_.Parameters(), discriminator_.Gradients());
   d_warm_ = true;
 
-  // Real-row embeddings from this pass; constants for feature matching.
-  // Copied out (not referenced) because the generator step reruns D's
-  // forward pass, which overwrites the activation buffers.
-  const la::Matrix& combined_embed =
-      discriminator_.ActivationAt(embed_layer_index_);
-  if (real_rows_.size() != n_real) {
-    real_rows_.resize(n_real);
-    for (size_t r = 0; r < n_real; ++r) real_rows_[r] = r;
-  }
-  combined_embed.SelectRowsInto(real_rows_, &h_real_);
-
   // --- generator step (feature matching) ---
   if (update_g) {
+    // Real-row embeddings from the D pass; constants for feature
+    // matching. Copied out (not referenced) because the forward pass below
+    // overwrites D's activation buffers.
+    if (real_rows_.size() != n_real) {
+      real_rows_.resize(n_real);
+      for (size_t r = 0; r < n_real; ++r) real_rows_[r] = r;
+    }
+    discriminator_.ActivationAt(embed_layer_index_)
+        .SelectRowsInto(real_rows_, &h_real_);
+
     la::Workspace::Scoped g_input2 = ws_.Checkout(n_syn, feature_dim_);
     g_input2.mat() = x_synthetic;
     for (double& v : g_input2.mat().data()) {
@@ -261,7 +260,7 @@ SganEpochStats Sgan::RunEpoch(const la::Matrix& x_real,
     discriminator_.ZeroGrad();
 
     generator_.ZeroGrad();
-    generator_.Backward(grad_fake);
+    generator_.BackwardParams(grad_fake);
     g_optimizer_.Step(generator_.Parameters(), generator_.Gradients());
     g_warm_ = true;
   }

@@ -32,6 +32,12 @@ const la::Matrix& Dense::Forward(const la::Matrix& input, bool /*training*/) {
 }
 
 const la::Matrix& Dense::Backward(const la::Matrix& grad_output) {
+  BackwardParams(grad_output);
+  grad_output.MatMulTransposedInto(weight_, &grad_input_);
+  return grad_input_;
+}
+
+void Dense::BackwardParams(const la::Matrix& grad_output) {
   GALE_CHECK_EQ(grad_output.rows(), input_cache_.rows());
   GALE_CHECK_EQ(grad_output.cols(), weight_.cols());
   // Accumulates straight into the persistent grad buffers; with the
@@ -42,8 +48,6 @@ const la::Matrix& Dense::Backward(const la::Matrix& grad_output) {
   grad_output.ColSumInto(&grad_bias_, /*accumulate=*/true);
   GALE_DCHECK_ALL_FINITE(grad_weight_.data()) << "non-finite Dense dW";
   GALE_DCHECK_ALL_FINITE(grad_bias_.data()) << "non-finite Dense db";
-  grad_output.MatMulTransposedInto(weight_, &grad_input_);
-  return grad_input_;
 }
 
 void Dense::ZeroGrad() {

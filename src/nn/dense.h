@@ -22,6 +22,8 @@ class Dense : public Layer {
 
   const la::Matrix& Forward(const la::Matrix& input, bool training) override;
   const la::Matrix& Backward(const la::Matrix& grad_output) override;
+  // Skips dL/dinput = grad_output · Wᵀ.
+  void BackwardParams(const la::Matrix& grad_output) override;
 
   std::vector<la::Matrix*> Parameters() override { return {&weight_, &bias_}; }
   std::vector<la::Matrix*> Gradients() override {

@@ -99,7 +99,7 @@ util::Result<double> Gae::Train(const la::Matrix& features) {
     }
 
     encoder_.ZeroGrad();
-    encoder_.Backward(grad_z);
+    encoder_.BackwardParams(grad_z);
     optimizer_.Step(encoder_.Parameters(), encoder_.Gradients());
   }
   return last_loss;

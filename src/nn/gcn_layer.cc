@@ -72,6 +72,13 @@ const la::Matrix& GcnLayer::Forward(const la::Matrix& input,
 }
 
 const la::Matrix& GcnLayer::Backward(const la::Matrix& grad_output) {
+  BackwardParams(grad_output);
+  // dX = Â^T dZ W^T = T W^T, from the T that BackwardParams left behind.
+  grad_propagated_.MatMulTransposedInto(weight_, &grad_input_);
+  return grad_input_;
+}
+
+void GcnLayer::BackwardParams(const la::Matrix& grad_output) {
   GALE_CHECK_EQ(grad_output.rows(), adjacency_->rows());
   GALE_CHECK_EQ(grad_output.cols(), weight_.cols());
   // dZ = dH ⊙ σ'(Z), masked from the activated output itself: relu and
@@ -98,13 +105,12 @@ const la::Matrix& GcnLayer::Backward(const la::Matrix& grad_output) {
   dz->ColSumInto(&grad_bias_, /*accumulate=*/true);
   // One SpMM serves both remaining gradients: with T = Â dZ (Â symmetric),
   //   dW = X^T Â^T dZ = X^T T   and   dX = Â^T dZ W^T = T W^T.
+  // T stays in grad_propagated_ for Backward's dX.
   adjacency_->MultiplyInto(*dz, &grad_propagated_);
   input_cache_.TransposedMatMulInto(grad_propagated_, &grad_weight_,
                                     /*accumulate=*/true);
   GALE_DCHECK_ALL_FINITE(grad_weight_.data()) << "non-finite GCN dW";
   GALE_DCHECK_ALL_FINITE(grad_bias_.data()) << "non-finite GCN db";
-  grad_propagated_.MatMulTransposedInto(weight_, &grad_input_);
-  return grad_input_;
 }
 
 void GcnLayer::ZeroGrad() {

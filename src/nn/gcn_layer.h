@@ -54,6 +54,8 @@ class GcnLayer : public Layer {
 
   const la::Matrix& Forward(const la::Matrix& input, bool training) override;
   const la::Matrix& Backward(const la::Matrix& grad_output) override;
+  // Skips dL/dinput = (Â dZ) Wᵀ; the mask, db, Â dZ and dW still run.
+  void BackwardParams(const la::Matrix& grad_output) override;
 
   std::vector<la::Matrix*> Parameters() override { return {&weight_, &bias_}; }
   std::vector<la::Matrix*> Gradients() override {

@@ -5,6 +5,11 @@
 //    whatever it needs for the backward pass.
 //  * Backward(grad_output) consumes dL/d(output), accumulates dL/d(params)
 //    into the layer's gradient buffers, and returns dL/d(input).
+//  * BackwardParams(grad_output) accumulates the same dL/d(params) and
+//    returns nothing: it skips dL/d(input). Trainers call it on a stack
+//    whose input is data (Sequential runs it on the first layer only), so
+//    the input-gradient GEMM nobody reads is never computed. Backward and
+//    BackwardParams leave bitwise-identical parameter gradients.
 //  * Parameters() / Gradients() expose aligned lists of tensors so an
 //    optimizer (nn::Adam) can step them; ZeroGrad() clears accumulations.
 //
@@ -50,6 +55,13 @@ class Layer {
   // Returns dL/dinput, in layer-owned storage. Must be called at most once
   // per Forward.
   virtual const la::Matrix& Backward(const la::Matrix& grad_output) = 0;
+
+  // Backward without dL/dinput: accumulates dL/d(params) only. Called in
+  // place of Backward (at most once per Forward). Layers whose input
+  // gradient is cheap or that have no parameters keep this default.
+  virtual void BackwardParams(const la::Matrix& grad_output) {
+    Backward(grad_output);
+  }
 
   // Trainable tensors and their gradient buffers, index-aligned. Layers
   // without parameters return empty lists.

@@ -29,6 +29,15 @@ const la::Matrix& Sequential::Backward(const la::Matrix& grad_output) {
   return *grad;
 }
 
+void Sequential::BackwardParams(const la::Matrix& grad_output) {
+  if (layers_.empty()) return;
+  const la::Matrix* grad = &grad_output;
+  for (size_t i = layers_.size(); i > 1; --i) {
+    grad = &layers_[i - 1]->Backward(*grad);
+  }
+  layers_[0]->BackwardParams(*grad);
+}
+
 std::vector<la::Matrix*> Sequential::Parameters() {
   std::vector<la::Matrix*> params;
   for (auto& layer : layers_) {

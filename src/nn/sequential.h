@@ -29,6 +29,9 @@ class Sequential : public Layer {
 
   const la::Matrix& Forward(const la::Matrix& input, bool training) override;
   const la::Matrix& Backward(const la::Matrix& grad_output) override;
+  // Full Backward through layers n-1..1, then BackwardParams on layer 0:
+  // the parameter gradients of Backward without dL/d(stack input).
+  void BackwardParams(const la::Matrix& grad_output) override;
 
   std::vector<la::Matrix*> Parameters() override;
   std::vector<la::Matrix*> Gradients() override;

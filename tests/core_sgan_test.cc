@@ -1,10 +1,15 @@
 #include "core/sgan.h"
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace gale::core {
 namespace {
@@ -214,6 +219,48 @@ TEST(SganTest, DeterministicUnderSeed) {
   ASSERT_TRUE(a.Train(data.x_real, data.labels, data.x_synthetic).ok());
   ASSERT_TRUE(b.Train(data.x_real, data.labels, data.x_synthetic).ok());
   EXPECT_EQ(a.PredictLabels(data.x_real), b.PredictLabels(data.x_real));
+}
+
+// FNV-1a over the raw bytes of `mats`, in order.
+uint64_t HashBytes(const std::vector<const la::Matrix*>& mats) {
+  std::string bytes;
+  for (const la::Matrix* m : mats) {
+    bytes.append(reinterpret_cast<const char*>(m->data().data()),
+                 m->size() * sizeof(double));
+  }
+  return util::Fnv1aHash(std::string_view(bytes));
+}
+
+TEST(SganTest, GoldenBits) {
+  // Pins SGAN numerics across commits: a change that only removes unused
+  // work must leave every trained weight and every probability bit
+  // unchanged. Train exercises the D and G steps, the Updates the SGAND
+  // path, including a warm second call. If a change is *meant* to move
+  // the numerics, re-record both constants from the failure message and
+  // say why in the commit.
+  BlobData data = MakeBlobs(150, 8, 21);
+  BlobData rich = MakeBlobs(150, 20, 21);
+  SganConfig config = FastConfig(21);
+  config.train_epochs = 30;
+  Sgan sgan(data.x_real.cols(), config);
+  ASSERT_TRUE(sgan.Train(data.x_real, data.labels, data.x_synthetic).ok());
+  ASSERT_TRUE(sgan.Update(data.x_real, rich.labels, data.x_synthetic).ok());
+  ASSERT_TRUE(sgan.Update(data.x_real, rich.labels, data.x_synthetic, 5).ok());
+
+  const DiscriminatorSnapshot snap = sgan.ExportDiscriminator();
+  std::vector<const la::Matrix*> params;
+  for (size_t i = 0; i < snap.weights.size(); ++i) {
+    params.push_back(&snap.weights[i]);
+    params.push_back(&snap.biases[i]);
+  }
+  const la::Matrix probs = sgan.PredictProbabilities(data.x_real);
+
+  const uint64_t weights_hash = HashBytes(params);
+  const uint64_t probs_hash = HashBytes({&probs});
+  EXPECT_EQ(weights_hash, 0x3559f35a677e4399ULL)
+      << std::hex << "weights hash 0x" << weights_hash;
+  EXPECT_EQ(probs_hash, 0xfc7fd659f111434eULL)
+      << std::hex << "probabilities hash 0x" << probs_hash;
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <cstring>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -293,6 +295,98 @@ TEST(GcnLayerTest, FoldedActivationMatchesCompositeStack) {
   const la::Matrix& dx_stack = stack.Backward(dy);
   EXPECT_EQ(0, std::memcmp(dx_folded.data().data(), dx_stack.data().data(),
                            dx_folded.size() * sizeof(double)));
+}
+
+// `full` and `params_only` are identically constructed. One step of
+// Backward on `full` and of BackwardParams on `params_only`, on the same
+// (x, dy), must leave memcmp-equal parameter gradients; a following
+// Forward + Backward on `params_only` must return `full`'s dL/dinput bit
+// for bit (BackwardParams leaves no state behind that the full pass reads).
+void ExpectParamsOnlyMatchesFull(Layer& full, Layer& params_only,
+                                 const la::Matrix& x, const la::Matrix& dy) {
+  full.Forward(x, true);
+  full.ZeroGrad();
+  const la::Matrix dx_full = full.Backward(dy);
+
+  params_only.Forward(x, true);
+  params_only.ZeroGrad();
+  params_only.BackwardParams(dy);
+  const std::vector<la::Matrix*> grads_full = full.Gradients();
+  const std::vector<la::Matrix*> grads = params_only.Gradients();
+  ASSERT_EQ(grads.size(), grads_full.size());
+  ASSERT_FALSE(grads.empty());
+  for (size_t g = 0; g < grads.size(); ++g) {
+    ASSERT_EQ(grads[g]->size(), grads_full[g]->size());
+    EXPECT_EQ(0, std::memcmp(grads[g]->data().data(),
+                             grads_full[g]->data().data(),
+                             grads[g]->size() * sizeof(double)))
+        << "gradient " << g;
+  }
+
+  params_only.Forward(x, true);
+  params_only.ZeroGrad();
+  const la::Matrix& dx = params_only.Backward(dy);
+  ASSERT_EQ(dx.size(), dx_full.size());
+  EXPECT_EQ(0, std::memcmp(dx.data().data(), dx_full.data().data(),
+                           dx.size() * sizeof(double)));
+}
+
+TEST(BackwardParamsTest, DenseMatchesFullBackward) {
+  util::Rng rng_full(31);
+  util::Rng rng_params(31);
+  Dense full(24, 16, rng_full);
+  Dense params_only(24, 16, rng_params);
+  util::Rng data_rng(32);
+  la::Matrix x = la::Matrix::RandomNormal(96, 24, 1.0, data_rng);
+  la::Matrix dy = la::Matrix::RandomNormal(96, 16, 1.0, data_rng);
+  ExpectParamsOnlyMatchesFull(full, params_only, x, dy);
+}
+
+TEST(BackwardParamsTest, GcnLayerMatchesFullBackward) {
+  std::vector<std::pair<size_t, size_t>> edges;
+  for (size_t v = 0; v < 96; ++v) {
+    edges.emplace_back(v, (v + 1) % 96);
+    edges.emplace_back(v, (v + 7) % 96);
+  }
+  la::SparseMatrix adj = la::SparseMatrix::NormalizedAdjacency(96, edges);
+  for (GcnActivation activation :
+       {GcnActivation::kNone, GcnActivation::kRelu,
+        GcnActivation::kLeakyRelu}) {
+    for (bool fuse : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "activation " << static_cast<int>(activation)
+                   << " fused " << fuse);
+      const GcnLayerOptions options{.activation = activation,
+                                    .fuse_epilogue = fuse};
+      util::Rng rng_full(33);
+      util::Rng rng_params(33);
+      GcnLayer full(&adj, 12, 8, rng_full, options);
+      GcnLayer params_only(&adj, 12, 8, rng_params, options);
+      util::Rng data_rng(34);
+      la::Matrix x = la::Matrix::RandomNormal(96, 12, 1.0, data_rng);
+      la::Matrix dy = la::Matrix::RandomNormal(96, 8, 1.0, data_rng);
+      ExpectParamsOnlyMatchesFull(full, params_only, x, dy);
+    }
+  }
+}
+
+TEST(BackwardParamsTest, SequentialStackMatchesFullBackward) {
+  // Layers above the first still run the full Backward (their dL/dinput
+  // feeds the layer below); only layer 0 drops it.
+  auto make_stack = [](uint64_t seed) {
+    util::Rng rng(seed);
+    Sequential stack;
+    stack.Add(std::make_unique<Dense>(20, 16, rng));
+    stack.Add(std::make_unique<LeakyRelu>(0.2));
+    stack.Add(std::make_unique<Dense>(16, 3, rng));
+    return stack;
+  };
+  Sequential full = make_stack(35);
+  Sequential params_only = make_stack(35);
+  util::Rng data_rng(36);
+  la::Matrix x = la::Matrix::RandomNormal(96, 20, 1.0, data_rng);
+  la::Matrix dy = la::Matrix::RandomNormal(96, 3, 1.0, data_rng);
+  ExpectParamsOnlyMatchesFull(full, params_only, x, dy);
 }
 
 TEST(SequentialTest, BackwardFromIntermediateLayer) {
