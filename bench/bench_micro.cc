@@ -41,6 +41,64 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256);
 
+// The dense products at the shapes of one SGAND epoch on the detect
+// workload (5732 rows = real + synthetic + generated, 162 features, 64
+// hidden, 24 embedding): D's first-layer forward (A·B), the dL/dinput of
+// the 64 -> 24 layer (A·Bᵀ) and the first layer's dW (Aᵀ·B). Args are
+// (rows, inner, cols) of the product; the output buffer stays warm.
+void BM_MatMulShape(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  const size_t n = static_cast<size_t>(state.range(2));
+  util::Rng rng(31);
+  const la::Matrix a = la::Matrix::RandomNormal(m, k, 1.0, rng);
+  const la::Matrix b = la::Matrix::RandomNormal(k, n, 1.0, rng);
+  la::Matrix out;
+  for (auto _ : state) {
+    a.MatMulInto(b, &out);
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_MatMulShape)->Args({5732, 162, 64});
+
+// A (rows x inner) times Bᵀ for B (cols x inner).
+void BM_MatMulTransposedShape(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  const size_t n = static_cast<size_t>(state.range(2));
+  util::Rng rng(32);
+  const la::Matrix a = la::Matrix::RandomNormal(m, k, 1.0, rng);
+  const la::Matrix b = la::Matrix::RandomNormal(n, k, 1.0, rng);
+  la::Matrix out;
+  for (auto _ : state) {
+    a.MatMulTransposedInto(b, &out);
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_MatMulTransposedShape)->Args({5732, 24, 64});
+
+// Aᵀ (inner x rows) times B (rows x cols): args (rows, inner, cols).
+void BM_TransposedMatMulShape(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  const size_t n = static_cast<size_t>(state.range(2));
+  util::Rng rng(33);
+  const la::Matrix a = la::Matrix::RandomNormal(m, k, 1.0, rng);
+  const la::Matrix b = la::Matrix::RandomNormal(m, n, 1.0, rng);
+  la::Matrix out;
+  for (auto _ : state) {
+    a.TransposedMatMulInto(b, &out);
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_TransposedMatMulShape)->Args({5732, 162, 64});
+
 la::SparseMatrix RandomAdjacency(size_t n, size_t edges, uint64_t seed) {
   util::Rng rng(seed);
   std::vector<std::pair<size_t, size_t>> edge_list;
@@ -87,6 +145,20 @@ void BM_KMeans(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KMeans)->Arg(1000)->Arg(4000);
+
+// The selector's clustering on the detect workload: 24-wide embeddings,
+// k = 40. Args are (points, k).
+void BM_KMeansShape(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  util::Rng data_rng(34);
+  const la::Matrix data = la::Matrix::RandomNormal(n, 24, 1.0, data_rng);
+  for (auto _ : state) {
+    util::Rng rng(35);
+    benchmark::DoNotOptimize(la::KMeans(data, {.num_clusters = k}, rng));
+  }
+}
+BENCHMARK(BM_KMeansShape)->Args({2500, 40});
 
 void BM_FeatureEncode(benchmark::State& state) {
   graph::SyntheticConfig config;

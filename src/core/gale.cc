@@ -138,11 +138,11 @@ util::Result<GaleResult> Gale::Run(const la::Matrix& x_real,
       obs::Span iter_span("gale.core.iteration");
       iter_span.Arg("iteration", static_cast<double>(i));
 
-      la::Matrix embeddings = sgan.Embeddings(x_real);
-      la::Matrix probs = sgan.PredictProbabilities(x_real);
+      const SganPrediction prediction = sgan.Predict(x_real);
 
       util::Result<std::vector<size_t>> queries =
-          selector.Select(embeddings, labels, probs, config_.local_budget);
+          selector.Select(prediction.embeddings, labels,
+                          prediction.probabilities, config_.local_budget);
       if (!queries.ok()) {
         if (queries.status().code() ==
             util::StatusCode::kFailedPrecondition) {
@@ -185,8 +185,8 @@ util::Result<GaleResult> Gale::Run(const la::Matrix& x_real,
       }
     }
 
-    result.predicted = sgan.PredictLabels(x_real);
     result.probabilities = sgan.PredictProbabilities(x_real);
+    result.predicted = LabelsFromProbabilities(result.probabilities);
     result.discriminator = sgan.ExportDiscriminator();
     // Known example labels override model output (an oracle-labeled node's
     // label is definitive). Other non-unlabeled markers (e.g. excluded

@@ -37,7 +37,35 @@ void VStack3Into(const la::Matrix& a, const la::Matrix& b, const la::Matrix& c,
   }
 }
 
+// P(error), P(correct) per row: D's first two logits renormalized.
+la::Matrix ProbabilitiesFromLogits(const la::Matrix& logits) {
+  la::Matrix probs(logits.rows(), 2);
+  for (size_t r = 0; r < logits.rows(); ++r) {
+    const double* l = logits.RowPtr(r);
+    const double m = std::max(l[kLabelError], l[kLabelCorrect]);
+    const double pe = std::exp(l[kLabelError] - m);
+    const double pc = std::exp(l[kLabelCorrect] - m);
+    probs.At(r, 0) = pe / (pe + pc);
+    probs.At(r, 1) = pc / (pe + pc);
+    // D's conditional output P(error|x), P(correct|x) must lie on the
+    // probability simplex; the 3-way softmax inside the losses carries the
+    // same contract (see nn::Softmax).
+    GALE_DCHECK(util::check_internal::OnSimplex(probs.RowPtr(r), 2u))
+        << "discriminator output off the simplex, row " << r;
+  }
+  return probs;
+}
+
 }  // namespace
+
+std::vector<int> LabelsFromProbabilities(const la::Matrix& probabilities) {
+  std::vector<int> out(probabilities.rows());
+  for (size_t r = 0; r < probabilities.rows(); ++r) {
+    out[r] = probabilities.At(r, 0) >= probabilities.At(r, 1) ? kLabelError
+                                                               : kLabelCorrect;
+  }
+  return out;
+}
 
 util::Result<void> SganConfig::Validate() const {
   if (hidden_dim == 0) {
@@ -352,36 +380,26 @@ util::Status Sgan::Update(const la::Matrix& x_real,
 
 la::Matrix Sgan::PredictProbabilities(const la::Matrix& x) {
   GALE_CHECK_EQ(x.cols(), feature_dim_);
-  const la::Matrix& logits = discriminator_.Forward(x, /*training=*/false);
-  la::Matrix probs(x.rows(), 2);
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const double* l = logits.RowPtr(r);
-    const double m = std::max(l[kLabelError], l[kLabelCorrect]);
-    const double pe = std::exp(l[kLabelError] - m);
-    const double pc = std::exp(l[kLabelCorrect] - m);
-    probs.At(r, 0) = pe / (pe + pc);
-    probs.At(r, 1) = pc / (pe + pc);
-    // D's conditional output P(error|x), P(correct|x) must lie on the
-    // probability simplex; the 3-way softmax inside the losses carries the
-    // same contract (see nn::Softmax).
-    GALE_DCHECK(util::check_internal::OnSimplex(probs.RowPtr(r), 2u))
-        << "discriminator output off the simplex, row " << r;
-  }
-  return probs;
+  return ProbabilitiesFromLogits(
+      discriminator_.Forward(x, /*training=*/false));
 }
 
 std::vector<int> Sgan::PredictLabels(const la::Matrix& x) {
-  const la::Matrix probs = PredictProbabilities(x);
-  std::vector<int> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    out[r] = probs.At(r, 0) >= probs.At(r, 1) ? kLabelError : kLabelCorrect;
-  }
-  return out;
+  return LabelsFromProbabilities(PredictProbabilities(x));
 }
 
 la::Matrix Sgan::Embeddings(const la::Matrix& x) {
   GALE_CHECK_EQ(x.cols(), feature_dim_);
   return discriminator_.ForwardUpTo(x, embed_layer_index_);
+}
+
+SganPrediction Sgan::Predict(const la::Matrix& x) {
+  GALE_CHECK_EQ(x.cols(), feature_dim_);
+  SganPrediction prediction;
+  prediction.probabilities =
+      ProbabilitiesFromLogits(discriminator_.Forward(x, /*training=*/false));
+  prediction.embeddings = discriminator_.ActivationAt(embed_layer_index_);
+  return prediction;
 }
 
 la::Matrix Sgan::Generate(const la::Matrix& x_synthetic) {

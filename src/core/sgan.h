@@ -87,6 +87,16 @@ struct SganConfig {
   util::Result<void> Validate() const;
 };
 
+// D's eval-mode outputs from one forward pass (Sgan::Predict).
+struct SganPrediction {
+  la::Matrix probabilities;  // as PredictProbabilities
+  la::Matrix embeddings;     // as Embeddings
+};
+
+// kLabelError / kLabelCorrect per row of PredictProbabilities' output
+// (ties go to error).
+std::vector<int> LabelsFromProbabilities(const la::Matrix& probabilities);
+
 // Per-epoch telemetry (exposed for the learning-cost experiments).
 struct SganEpochStats {
   double d_loss = 0.0;
@@ -121,6 +131,10 @@ class Sgan {
 
   // H_n(x): D's penultimate-layer activations (eval mode).
   la::Matrix Embeddings(const la::Matrix& x);
+
+  // PredictProbabilities and Embeddings from a single eval forward; the
+  // same bits as the two calls.
+  SganPrediction Predict(const la::Matrix& x);
 
   // Fake representations G produces from synthetic features (eval mode).
   la::Matrix Generate(const la::Matrix& x_synthetic);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "la/simd.h"
 #include "obs/trace.h"
 #include "util/parallel.h"
 
@@ -18,27 +19,54 @@ namespace {
 // any GALE_NUM_THREADS.
 constexpr size_t kAssignGrain = 256;
 
+// Copies the centroids into lane panels for simd::DistanceSquared8: panel
+// p holds centroids 8p..8p+7 coordinate-major, so one call measures a
+// point against eight centroids. Lanes past k stay zero and are never
+// scanned.
+void BuildCentroidPanels(const Matrix& centroids, Matrix* panels) {
+  constexpr size_t kLanes = simd::kDistanceLanes;
+  const size_t k = centroids.rows();
+  const size_t d = centroids.cols();
+  panels->EnsureShape((k + kLanes - 1) / kLanes, d * kLanes);
+  panels->Fill(0.0);
+  for (size_t c = 0; c < k; ++c) {
+    double* panel = panels->RowPtr(c / kLanes);
+    const double* centroid = centroids.RowPtr(c);
+    for (size_t j = 0; j < d; ++j) {
+      panel[j * kLanes + c % kLanes] = centroid[j];
+    }
+  }
+}
+
 // One assignment shard: assigns points [i0, i1) to their nearest centroid
-// and accumulates that slice's partial centroid sums and counts. noinline
-// keeps the distance loop out of the ParallelForShards closure, where the
-// live closure pointer degrades register allocation (see GatherRows in
-// sparse_matrix.cc).
+// and accumulates that slice's partial centroid sums and counts. Each
+// distance is RowDistanceSquared's serial chain, eight centroids per
+// kernel call, and the argmin scans the centroids in ascending order
+// (first minimum wins). noinline keeps the distance loop out of the
+// ParallelForShards closure, where the live closure pointer degrades
+// register allocation (see GatherRows in sparse_matrix.cc).
 __attribute__((noinline)) void AssignShard(const Matrix& data,
-                                           const Matrix& centroids, size_t k,
+                                           const Matrix& panels, size_t k,
                                            size_t i0, size_t i1,
                                            size_t* assignments,
                                            double* distances, Matrix& sum,
                                            std::vector<size_t>& count,
                                            uint8_t* changed) {
+  constexpr size_t kLanes = simd::kDistanceLanes;
   const size_t d = data.cols();
+  double dist[kLanes];
   for (size_t i = i0; i < i1; ++i) {
+    const double* row = data.RowPtr(i);
     size_t best = 0;
     double best_dist = std::numeric_limits<double>::max();
-    for (size_t c = 0; c < k; ++c) {
-      const double dist = data.RowDistanceSquared(i, centroids, c);
-      if (dist < best_dist) {
-        best_dist = dist;
-        best = c;
+    for (size_t p = 0; p < panels.rows(); ++p) {
+      simd::DistanceSquared8(dist, row, panels.RowPtr(p), d);
+      const size_t lanes = std::min(kLanes, k - p * kLanes);
+      for (size_t l = 0; l < lanes; ++l) {
+        if (dist[l] < best_dist) {
+          best_dist = dist[l];
+          best = p * kLanes + l;
+        }
       }
     }
     if (assignments[i] != best) {
@@ -48,7 +76,6 @@ __attribute__((noinline)) void AssignShard(const Matrix& data,
     distances[i] = best_dist;  // squared, sqrt'ed at the end
     count[best] += 1;
     double* acc = sum.RowPtr(best);
-    const double* row = data.RowPtr(i);
     for (size_t j = 0; j < d; ++j) acc[j] += row[j];
   }
 }
@@ -112,8 +139,10 @@ util::Result<KMeansResult> KMeans(const Matrix& data,
   std::vector<uint8_t> shard_changed(num_shards);
 
   std::vector<size_t> counts(k, 0);
+  Matrix panels;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
+    BuildCentroidPanels(result.centroids, &panels);
     // Fused assignment + partial-sum step: each shard assigns its slice of
     // points (disjoint writes) and accumulates per-shard centroid sums.
     shard_changed.assign(num_shards, 0);
@@ -125,7 +154,7 @@ util::Result<KMeansResult> KMeans(const Matrix& data,
             shard_sums[s].Fill(0.0);
           }
           shard_counts[s].assign(k, 0);
-          AssignShard(data, result.centroids, k, i0, i1,
+          AssignShard(data, panels, k, i0, i1,
                       result.assignments.data(), result.distances.data(),
                       shard_sums[s], shard_counts[s], &shard_changed[s]);
         });

@@ -45,24 +45,42 @@ constexpr size_t kRowGrain = 8;
 // the vector paths stay bitwise identical to the scalar fallback (see
 // simd.h for the determinism argument).
 
-// i-k-j with the k loop register-blocked four wide (see MatMul below for
-// the rationale). a: ? x cols, b: cols x n, out: ? x n; rows [r0, r1).
+// Row sweep of one output row over columns [j0, n): k-groups of four
+// through Axpy4, leftover k through Axpy. a_row: cols wide; b: cols x n.
+void MatMulRowSweep(const double* a_row, const double* b, double* out_row,
+                    size_t cols, size_t n, size_t j0) {
+  size_t k = 0;
+  for (; k + 4 <= cols; k += 4) {
+    const double* b0 = b + k * n + j0;
+    simd::Axpy4(out_row + j0, b0, b0 + n, b0 + 2 * n, b0 + 3 * n, a_row[k],
+                a_row[k + 1], a_row[k + 2], a_row[k + 3], n - j0);
+  }
+  for (; k < cols; ++k) {
+    simd::Axpy(out_row + j0, b + k * n + j0, a_row[k], n - j0);
+  }
+}
+
+// A·B over output rows [r0, r1) in 4 x 8 register tiles. a: ? x cols,
+// b: cols x n, out: ? x n. Ragged columns and rows take the Axpy4/Axpy row
+// sweep, which computes every element with the tile's expression tree.
 __attribute__((noinline)) void MatMulShard(const double* a, const double* b,
                                            double* out, size_t cols, size_t n,
                                            size_t r0, size_t r1) {
-  for (size_t i = r0; i < r1; ++i) {
-    const double* a_row = a + i * cols;
-    double* out_row = out + i * n;
-    size_t k = 0;
-    for (; k + 4 <= cols; k += 4) {
-      const double* b0 = b + k * n;
-      simd::Axpy4(out_row, b0, b0 + n, b0 + 2 * n, b0 + 3 * n, a_row[k],
-                  a_row[k + 1], a_row[k + 2], a_row[k + 3], n);
+  const size_t n8 = n - n % 8;
+  size_t i = r0;
+  for (; i + 4 <= r1; i += 4) {
+    const double* a_rows = a + i * cols;
+    double* out_rows = out + i * n;
+    for (size_t j = 0; j < n8; j += 8) {
+      simd::MatMulTile4x8(out_rows + j, n, a_rows, cols, b + j, n, cols);
     }
-    for (; k < cols; ++k) {
-      simd::Axpy(out_row, b + k * n, a_row[k], n);
+    if (n8 < n) {
+      for (size_t r = 0; r < 4; ++r) {
+        MatMulRowSweep(a_rows + r * cols, b, out_rows + r * n, cols, n, n8);
+      }
     }
   }
+  for (; i < r1; ++i) MatMulRowSweep(a + i * cols, b, out + i * n, cols, n, 0);
 }
 
 // Aᵀ·B over output rows (= columns of A) [i0, i1). a: rows x a_cols,
@@ -91,19 +109,30 @@ __attribute__((noinline)) void TransposedMatMulShard(
   }
 }
 
-// A·Bᵀ over output rows [r0, r1): every element is an independent dot
-// product, split over four accumulators to break the FP add dependency
-// chain. a: ? x cols, b: b_rows x cols, out: ? x b_rows.
+// A·Bᵀ over output rows [r0, r1) in 2 x 4 register tiles: every element
+// is an independent Dot4 (four accumulators, combine (0+1)+(2+3)), and
+// ragged rows and columns call Dot4 itself. a: ? x cols,
+// b: b_rows x cols, out: ? x b_rows.
 __attribute__((noinline)) void MatMulTransposedShard(
     const double* a, const double* b, double* out, size_t cols, size_t b_rows,
     size_t r0, size_t r1) {
-  for (size_t i = r0; i < r1; ++i) {
-    const double* a_row = a + i * cols;
-    double* out_row = out + i * b_rows;
+  const size_t n4 = b_rows - b_rows % 4;
+  size_t i = r0;
+  for (; i + 2 <= r1; i += 2) {
+    const double* a_rows = a + i * cols;
+    double* out_rows = out + i * b_rows;
+    for (size_t j = 0; j < n4; j += 4) {
+      simd::DotTile2x4(out_rows + j, b_rows, a_rows, cols, b + j * cols, cols,
+                       cols);
+    }
+    for (size_t j = n4; j < b_rows; ++j) {
+      out_rows[j] = simd::Dot4(a_rows, b + j * cols, cols);
+      out_rows[b_rows + j] = simd::Dot4(a_rows + cols, b + j * cols, cols);
+    }
+  }
+  for (; i < r1; ++i) {
     for (size_t j = 0; j < b_rows; ++j) {
-      // simd::Dot4 reproduces this kernel's historical four-accumulator
-      // split exactly (lane l <-> k = l mod 4, combine (0+1)+(2+3)).
-      out_row[j] = simd::Dot4(a_row, b + j * cols, cols);
+      out[i * b_rows + j] = simd::Dot4(a + i * cols, b + j * cols, cols);
     }
   }
 }
@@ -268,14 +297,14 @@ void Matrix::MatMulInto(const Matrix& other, Matrix* out,
     out->Fill(0.0);
   }
   const size_t n = other.cols_;
-  // Row-parallel (each shard owns disjoint output rows) i-k-j with the k
-  // loop register-blocked four wide: one read-modify-write sweep of the
-  // output row serves four rows of B, which quarters the store traffic
-  // and gives the vectorizer four independent FMA streams. The inner loop
-  // is branch-free on purpose — a zero-skip test on dense data defeats
+  // Row-parallel (each shard owns disjoint output rows). Each output
+  // element adds ((a0·b0 + a1·b1) + a2·b2) + a3·b3 per k-group in
+  // ascending k, then a·b per leftover k, whether it sits in a 4 x 8
+  // register tile or in a ragged row sweep; the inner loops are
+  // branch-free on purpose — a zero-skip test on dense data defeats
   // vectorization, and genuinely sparse operands belong in SparseMatrix.
-  // The accumulation expression is fixed, so results are bitwise
-  // identical at every thread count.
+  // The expression is fixed, so results are bitwise identical at every
+  // thread count.
   util::ParallelFor(0, rows_, kRowGrain, [&](size_t r0, size_t r1) {
     MatMulShard(data_.data(), other.data_.data(), out->data_.data(), cols_, n,
                 r0, r1);
@@ -324,10 +353,9 @@ void Matrix::MatMulTransposedInto(const Matrix& other, Matrix* out) const {
   // The shard assigns every output element (independent dot products), so
   // no zero-fill is needed and an accumulate flag would be a lie.
   out->EnsureShape(rows_, other.rows_);
-  // Row-of-output parallel; every element is an independent dot product,
-  // split over four accumulators to break the FP add dependency chain.
-  // The combine order is fixed, so results are bitwise identical at every
-  // thread count.
+  // Row-of-output parallel; every element is an independent Dot4 (tiled
+  // 2 x 4 in registers), whose combine order is fixed, so results are
+  // bitwise identical at every thread count.
   util::ParallelFor(0, rows_, kRowGrain, [&](size_t r0, size_t r1) {
     MatMulTransposedShard(data_.data(), other.data_.data(), out->data_.data(),
                           cols_, other.rows_, r0, r1);

@@ -22,6 +22,17 @@
 //    onto two registers of two lanes; the summation tree is identical in
 //    all three, and the tail accumulates into acc0 exactly like the
 //    scalar remainder loop.
+//  * The register tiles (MatMulTile4x8, DotTile2x4, DistanceSquared8) hold
+//    a block of outputs in registers across the whole reduction instead
+//    of re-reading each output per step. They still vectorize only across
+//    independent output elements, and each element's tree is fixed: the
+//    A·B tile adds one Axpy4 term per k-group in ascending k, then the
+//    Axpy tail; the A·Bᵀ tile is eight Dot4s with Dot4's lane split, tail
+//    and combine; a distance lane is RowDistanceSquared's serial chain.
+//    So a tile, a row sweep of Axpy4/Axpy calls, and a Dot4 call give an
+//    element the same bits, and callers send ragged rows and columns
+//    through Axpy4/Axpy/Dot4 on sub-ranges. The tiles have no SSE2 body;
+//    that dispatch runs the scalar reference.
 //  Consequently scalar, SSE2, and AVX2 results are bitwise equal to each
 //  other and (because the kernels shard over disjoint output rows) to
 //  every GALE_NUM_THREADS setting — pinned by simd_equivalence_test and
@@ -177,6 +188,10 @@ class ScopedIsaOverride {
 // explicit, fixed evaluation tree; -ffp-contract=off keeps the compiler
 // from fusing it.
 
+// Lane width of the centroid panel DistanceSquared8 reads: panel[c * 8 + l]
+// is coordinate c of centroid l.
+inline constexpr std::size_t kDistanceLanes = 8;
+
 namespace scalar {
 
 inline void Axpy(double* out, const double* x, double a, std::size_t n) {
@@ -304,6 +319,69 @@ inline void AdamUpdate(double* p, double* m, double* v, const double* g,
     const double v_hat = v[j] / bias2;
     p[j] -= lr * m_hat / (std::sqrt(v_hat) + eps);
   }
+}
+
+// out[r][j] += Σ_p a[r][p]·b[p][j] for r < 4, j < 8: the register tile of
+// MatMul. Each element adds one Axpy4 term per k-group, in ascending k,
+// then one Axpy term per leftover p — exactly what a row sweep of
+// Axpy4/Axpy calls computes for it. a, b and out are row-major with
+// leading dimensions lda, ldb, ldo.
+inline void MatMulTile4x8(double* out, std::size_t ldo, const double* a,
+                          std::size_t lda, const double* b, std::size_t ldb,
+                          std::size_t k) {
+  // k outermost, so B is read row by row like the row sweep reads it.
+  double acc[4][8];
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t j = 0; j < 8; ++j) acc[r][j] = out[r * ldo + j];
+  }
+  std::size_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    const double* b0 = b + p * ldb;
+    for (std::size_t r = 0; r < 4; ++r) {
+      const double* ar = a + r * lda + p;
+      for (std::size_t j = 0; j < 8; ++j) {
+        acc[r][j] += ar[0] * b0[j] + ar[1] * b0[ldb + j] +
+                     ar[2] * b0[2 * ldb + j] + ar[3] * b0[3 * ldb + j];
+      }
+    }
+  }
+  for (; p < k; ++p) {
+    for (std::size_t r = 0; r < 4; ++r) {
+      for (std::size_t j = 0; j < 8; ++j) {
+        acc[r][j] += a[r * lda + p] * b[p * ldb + j];
+      }
+    }
+  }
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t j = 0; j < 8; ++j) out[r * ldo + j] = acc[r][j];
+  }
+}
+
+// out[r][j] = Dot4(a row r, b row j, k) for r < 2, j < 4: the register
+// tile of MatMulTransposed (b holds the rows of Bᵀ's columns).
+inline void DotTile2x4(double* out, std::size_t ldo, const double* a,
+                       std::size_t lda, const double* b, std::size_t ldb,
+                       std::size_t k) {
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      out[r * ldo + j] = Dot4(a + r * lda, b + j * ldb, k);
+    }
+  }
+}
+
+// out[l] = Σ_c (x[c] - panel[c·8 + l])², one serial chain per lane in
+// ascending c — Matrix::RowDistanceSquared's order for each of the eight
+// centroids of one panel.
+inline void DistanceSquared8(double* out, const double* x, const double* panel,
+                             std::size_t d) {
+  double acc[kDistanceLanes] = {};
+  for (std::size_t c = 0; c < d; ++c) {
+    for (std::size_t l = 0; l < kDistanceLanes; ++l) {
+      const double diff = x[c] - panel[c * kDistanceLanes + l];
+      acc[l] += diff * diff;
+    }
+  }
+  for (std::size_t l = 0; l < kDistanceLanes; ++l) out[l] = acc[l];
 }
 
 }  // namespace scalar
@@ -821,6 +899,117 @@ GALE_SIMD_AVX2 void AdamUpdate(double* p, double* m, double* v,
   }
 }
 
+// ((a0*x0 + a1*x1) + a2*x2) + a3*x3 with a broadcast from ar[0..3] — one
+// k-group term of Axpy4, four output columns wide.
+GALE_SIMD_AVX2 __m256d Axpy4Term(const double* ar, __m256d x0, __m256d x1,
+                                 __m256d x2, __m256d x3) {
+  __m256d s = _mm256_add_pd(_mm256_mul_pd(_mm256_broadcast_sd(ar), x0),
+                            _mm256_mul_pd(_mm256_broadcast_sd(ar + 1), x1));
+  s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_broadcast_sd(ar + 2), x2));
+  return _mm256_add_pd(s, _mm256_mul_pd(_mm256_broadcast_sd(ar + 3), x3));
+}
+
+GALE_SIMD_AVX2 void MatMulTile4x8(double* out, std::size_t ldo,
+                                  const double* a, std::size_t lda,
+                                  const double* b, std::size_t ldb,
+                                  std::size_t k) {
+  // c[r][h]: row r, columns 4h..4h+3 — the 32 outputs stay in registers
+  // for the whole k loop instead of being re-read per k-group.
+  __m256d c[4][2];
+  for (std::size_t r = 0; r < 4; ++r) {
+    c[r][0] = _mm256_loadu_pd(out + r * ldo);
+    c[r][1] = _mm256_loadu_pd(out + r * ldo + 4);
+  }
+  std::size_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    const double* b0 = b + p * ldb;
+    for (std::size_t h = 0; h < 2; ++h) {
+      const __m256d x0 = _mm256_loadu_pd(b0 + 4 * h);
+      const __m256d x1 = _mm256_loadu_pd(b0 + ldb + 4 * h);
+      const __m256d x2 = _mm256_loadu_pd(b0 + 2 * ldb + 4 * h);
+      const __m256d x3 = _mm256_loadu_pd(b0 + 3 * ldb + 4 * h);
+      for (std::size_t r = 0; r < 4; ++r) {
+        c[r][h] = _mm256_add_pd(c[r][h],
+                                Axpy4Term(a + r * lda + p, x0, x1, x2, x3));
+      }
+    }
+  }
+  for (; p < k; ++p) {
+    const __m256d x0 = _mm256_loadu_pd(b + p * ldb);
+    const __m256d x1 = _mm256_loadu_pd(b + p * ldb + 4);
+    for (std::size_t r = 0; r < 4; ++r) {
+      const __m256d av = _mm256_broadcast_sd(a + r * lda + p);
+      c[r][0] = _mm256_add_pd(c[r][0], _mm256_mul_pd(av, x0));
+      c[r][1] = _mm256_add_pd(c[r][1], _mm256_mul_pd(av, x1));
+    }
+  }
+  for (std::size_t r = 0; r < 4; ++r) {
+    _mm256_storeu_pd(out + r * ldo, c[r][0]);
+    _mm256_storeu_pd(out + r * ldo + 4, c[r][1]);
+  }
+}
+
+GALE_SIMD_AVX2 void DotTile2x4(double* out, std::size_t ldo, const double* a,
+                               std::size_t lda, const double* b,
+                               std::size_t ldb, std::size_t k) {
+  // acc[r][j] is Dot4's register for the pair (a row r, b row j): lane l
+  // sums the p ≡ l (mod 4) terms.
+  __m256d acc[2][4];
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t j = 0; j < 4; ++j) acc[r][j] = _mm256_setzero_pd();
+  }
+  std::size_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    const __m256d a0 = _mm256_loadu_pd(a + p);
+    const __m256d a1 = _mm256_loadu_pd(a + lda + p);
+    for (std::size_t j = 0; j < 4; ++j) {
+      const __m256d bj = _mm256_loadu_pd(b + j * ldb + p);
+      acc[0][j] = _mm256_add_pd(acc[0][j], _mm256_mul_pd(a0, bj));
+      acc[1][j] = _mm256_add_pd(acc[1][j], _mm256_mul_pd(a1, bj));
+    }
+  }
+  for (std::size_t r = 0; r < 2; ++r) {
+    // Transpose so lane j of lane_l holds accumulator l of pair j; then
+    // the tail into acc0 and the (acc0+acc1)+(acc2+acc3) combine run for
+    // all four pairs at once, in Dot4's order.
+    const __m256d t0 = _mm256_unpacklo_pd(acc[r][0], acc[r][1]);
+    const __m256d t1 = _mm256_unpackhi_pd(acc[r][0], acc[r][1]);
+    const __m256d t2 = _mm256_unpacklo_pd(acc[r][2], acc[r][3]);
+    const __m256d t3 = _mm256_unpackhi_pd(acc[r][2], acc[r][3]);
+    __m256d lane0 = _mm256_permute2f128_pd(t0, t2, 0x20);
+    const __m256d lane1 = _mm256_permute2f128_pd(t1, t3, 0x20);
+    const __m256d lane2 = _mm256_permute2f128_pd(t0, t2, 0x31);
+    const __m256d lane3 = _mm256_permute2f128_pd(t1, t3, 0x31);
+    const double* ar = a + r * lda;
+    for (std::size_t q = p; q < k; ++q) {
+      const __m256d bq = _mm256_set_pd(b[3 * ldb + q], b[2 * ldb + q],
+                                       b[ldb + q], b[q]);
+      lane0 = _mm256_add_pd(lane0,
+                            _mm256_mul_pd(_mm256_broadcast_sd(ar + q), bq));
+    }
+    _mm256_storeu_pd(out + r * ldo,
+                     _mm256_add_pd(_mm256_add_pd(lane0, lane1),
+                                   _mm256_add_pd(lane2, lane3)));
+  }
+}
+
+GALE_SIMD_AVX2 void DistanceSquared8(double* out, const double* x,
+                                     const double* panel, std::size_t d) {
+  // Lane l of {acc_lo, acc_hi} is centroid l's serial chain.
+  __m256d acc_lo = _mm256_setzero_pd();
+  __m256d acc_hi = _mm256_setzero_pd();
+  for (std::size_t c = 0; c < d; ++c) {
+    const __m256d xc = _mm256_broadcast_sd(x + c);
+    const double* pc = panel + c * kDistanceLanes;
+    const __m256d d_lo = _mm256_sub_pd(xc, _mm256_loadu_pd(pc));
+    const __m256d d_hi = _mm256_sub_pd(xc, _mm256_loadu_pd(pc + 4));
+    acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(d_lo, d_lo));
+    acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(d_hi, d_hi));
+  }
+  _mm256_storeu_pd(out, acc_lo);
+  _mm256_storeu_pd(out + 4, acc_hi);
+}
+
 }  // namespace avx2
 
 #undef GALE_SIMD_AVX2
@@ -944,6 +1133,38 @@ inline void AdamUpdate(double* p, double* m, double* v, const double* g,
       AdamUpdate(p, m, v, g, lr, beta1, beta2, bias1, bias2, eps, n))
 }
 
+// The register tiles have an AVX2 body only; SSE2 runs the scalar
+// reference, so the two-lane tier grows no new code (whether it pays for
+// itself at all is an open ROADMAP question).
+#if GALE_SIMD_X86
+#define GALE_SIMD_DISPATCH_AVX2(call) \
+  if (ActiveIsa() == Isa::kAvx2) {    \
+    avx2::call;                       \
+    return;                           \
+  }                                   \
+  scalar::call;
+#else
+#define GALE_SIMD_DISPATCH_AVX2(call) scalar::call;
+#endif
+
+inline void MatMulTile4x8(double* out, std::size_t ldo, const double* a,
+                          std::size_t lda, const double* b, std::size_t ldb,
+                          std::size_t k) {
+  GALE_SIMD_DISPATCH_AVX2(MatMulTile4x8(out, ldo, a, lda, b, ldb, k))
+}
+
+inline void DotTile2x4(double* out, std::size_t ldo, const double* a,
+                       std::size_t lda, const double* b, std::size_t ldb,
+                       std::size_t k) {
+  GALE_SIMD_DISPATCH_AVX2(DotTile2x4(out, ldo, a, lda, b, ldb, k))
+}
+
+inline void DistanceSquared8(double* out, const double* x, const double* panel,
+                             std::size_t d) {
+  GALE_SIMD_DISPATCH_AVX2(DistanceSquared8(out, x, panel, d))
+}
+
+#undef GALE_SIMD_DISPATCH_AVX2
 #undef GALE_SIMD_DISPATCH
 
 }  // namespace gale::la::simd

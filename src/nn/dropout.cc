@@ -13,17 +13,18 @@ const la::Matrix& Dropout::Forward(const la::Matrix& input, bool training) {
   // Identity in eval mode: hand the caller's matrix straight back (the
   // Layer buffer contract allows this).
   if (!training || rate_ <= 0.0) return input;
-  const double keep = 1.0 - rate_;
+  const double scale = 1.0 / (1.0 - rate_);
   mask_.EnsureShape(input.rows(), input.cols());
-  out_ = input;
-  for (size_t i = 0; i < out_.data().size(); ++i) {
-    if (rng_.Bernoulli(rate_)) {
-      mask_.data()[i] = 0.0;
-      out_.data()[i] = 0.0;
-    } else {
-      mask_.data()[i] = 1.0 / keep;
-      out_.data()[i] *= 1.0 / keep;
-    }
+  out_.EnsureShape(input.rows(), input.cols());
+  const double* in = input.data().data();
+  double* mask = mask_.data().data();
+  double* out = out_.data().data();
+  // Branch-free select. A dropped element is assigned +0.0 rather than
+  // multiplied by zero, so its sign never leaks from a negative input.
+  for (size_t i = 0; i < input.size(); ++i) {
+    const bool drop = rng_.Uniform() < rate_;
+    mask[i] = drop ? 0.0 : scale;
+    out[i] = drop ? 0.0 : in[i] * scale;
   }
   return out_;
 }

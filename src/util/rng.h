@@ -23,11 +23,22 @@ class Rng {
   // streams.
   explicit Rng(uint64_t seed = 0);
 
-  // Next raw 64-bit output.
-  uint64_t Next();
+  // Next raw 64-bit output. Inline, with Uniform and Bernoulli, because
+  // per-element draws (dropout masks, noise) are hot loops.
+  uint64_t Next() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
-  // Uniform double in [0, 1).
-  double Uniform();
+  // Uniform double in [0, 1): 53 high-quality bits.
+  double Uniform() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
   // Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
@@ -42,7 +53,11 @@ class Rng {
   double Normal(double mean, double stddev);
 
   // True with probability p (clamped to [0,1]).
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return Uniform() < p;
+  }
 
   // Samples an index in [0, weights.size()) proportionally to weights.
   // Non-positive weights are treated as zero; if all weights are zero the
@@ -65,6 +80,8 @@ class Rng {
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t state_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

@@ -6,6 +6,8 @@
 // selector by comparing runs at GALE_NUM_THREADS-equivalent settings of
 // 1, 4, and 8 for exact equality (operator==, not AllClose).
 
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "core/sgan.h"
 #include "la/kmeans.h"
 #include "la/matrix.h"
+#include "la/simd.h"
 #include "la/sparse_matrix.h"
 #include "prop/ppr.h"
 #include "util/parallel.h"
@@ -76,6 +79,58 @@ TEST(ParallelEquivalenceTest, MatMulTransposed) {
   const la::Matrix a = RandomMatrix(97, 64, 5);
   const la::Matrix b = RandomMatrix(83, 64, 6);
   ExpectBitwiseStable([&] { return a.MatMulTransposed(b).data(); });
+}
+
+TEST(ParallelEquivalenceTest, RegisterTilesAcrossThreadsAndIsas) {
+  // Enough rows that shards split (and end off the 4- and 2-row tile
+  // heights), columns on and off the tile widths, inner lengths with and
+  // without a k tail. Every (ISA, thread count) pair must reproduce the
+  // scalar, one-thread bits, signed zeros included.
+  std::vector<la::simd::Isa> isas = {la::simd::Isa::kScalar};
+  if (la::simd::Compiled()) {
+    isas.push_back(la::simd::Isa::kSse2);
+    isas.push_back(la::simd::BestSupportedIsa());
+  }
+  const std::pair<size_t, size_t> shapes[] = {{7, 5},   {8, 162}, {9, 3},
+                                              {24, 64}, {64, 162}, {162, 64}};
+  uint64_t seed = 200;
+  for (size_t rows : {5u, 33u, 130u}) {
+    for (const auto& [n, k] : shapes) {
+      const la::Matrix a = RandomMatrix(rows, k, ++seed);
+      const la::Matrix b = RandomMatrix(k, n, ++seed);
+      const la::Matrix bt = RandomMatrix(n, k, ++seed);
+      la::Matrix init = RandomMatrix(rows, n, ++seed);
+      for (size_t i = 0; i < init.size(); i += 3) init.data()[i] = -0.0;
+      auto compute = [&] {
+        const la::Matrix mm = a.MatMul(b);
+        std::vector<double> flat(mm.data().begin(), mm.data().end());
+        la::Matrix acc = init;
+        a.MatMulInto(b, &acc, /*accumulate=*/true);
+        flat.insert(flat.end(), acc.data().begin(), acc.data().end());
+        const la::Matrix mt = a.MatMulTransposed(bt);
+        flat.insert(flat.end(), mt.data().begin(), mt.data().end());
+        return flat;
+      };
+      std::vector<double> reference;
+      {
+        la::simd::ScopedIsaOverride pin(la::simd::Isa::kScalar);
+        util::ScopedParallelism p(1);
+        reference = compute();
+      }
+      for (la::simd::Isa isa : isas) {
+        la::simd::ScopedIsaOverride pin(isa);
+        for (int threads : kThreadCounts) {
+          util::ScopedParallelism p(threads);
+          const std::vector<double> got = compute();
+          ASSERT_EQ(got.size(), reference.size());
+          ASSERT_EQ(0, std::memcmp(got.data(), reference.data(),
+                                   got.size() * sizeof(double)))
+              << "rows=" << rows << " n=" << n << " k=" << k << " on "
+              << la::simd::IsaName(isa) << " at " << threads << " threads";
+        }
+      }
+    }
+  }
 }
 
 TEST(ParallelEquivalenceTest, Transposed) {

@@ -1,9 +1,16 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "la/kmeans.h"
 #include "la/pca.h"
+#include "la/simd.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace gale::la {
@@ -138,6 +145,123 @@ TEST(KMeansTest, RejectsDegenerateInputs) {
   EXPECT_FALSE(KMeans(Matrix(), {.num_clusters = 2}, rng).ok());
   Matrix data = Matrix::FromRows({{1, 2}});
   EXPECT_FALSE(KMeans(data, {.num_clusters = 0}, rng).ok());
+}
+
+// Lloyd's k-means written with one Matrix::RowDistanceSquared call per
+// (point, centroid) pair: KMeans' loop before its distances moved into
+// lane panels. Seeding, the per-shard partial sums (same grain as
+// kmeans.cc, combined in shard order), empty-cluster reseeding and the
+// stopping rule are KMeans' own, so the two must agree bit for bit.
+KMeansResult ReferenceKMeans(const Matrix& data, size_t k, util::Rng& rng) {
+  constexpr size_t kGrain = 256;
+  const KMeansOptions options;
+  const size_t n = data.rows();
+  const size_t d = data.cols();
+  KMeansResult result;
+  std::vector<size_t> chosen = {static_cast<size_t>(rng.UniformInt(n))};
+  std::vector<double> min_dist(n, std::numeric_limits<double>::max());
+  while (chosen.size() < k) {
+    for (size_t i = 0; i < n; ++i) {
+      min_dist[i] = std::min(min_dist[i],
+                             data.RowDistanceSquared(i, data, chosen.back()));
+    }
+    chosen.push_back(rng.Categorical(min_dist));
+  }
+  result.centroids = data.SelectRows(chosen);
+  result.assignments.assign(n, 0);
+  result.distances.assign(n, 0.0);
+  const size_t num_shards = util::NumReduceShards(n, kGrain);
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    result.iterations = iter + 1;
+    std::vector<Matrix> sums(num_shards, Matrix(k, d));
+    std::vector<std::vector<size_t>> counts(num_shards,
+                                            std::vector<size_t>(k, 0));
+    std::vector<uint8_t> shard_changed(num_shards, 0);
+    util::ParallelForShards(0, n, kGrain, [&](size_t s, size_t i0,
+                                               size_t i1) {
+      for (size_t i = i0; i < i1; ++i) {
+        size_t best = 0;
+        double best_dist = std::numeric_limits<double>::max();
+        for (size_t c = 0; c < k; ++c) {
+          const double dist = data.RowDistanceSquared(i, result.centroids, c);
+          if (dist < best_dist) {
+            best_dist = dist;
+            best = c;
+          }
+        }
+        if (result.assignments[i] != best) shard_changed[s] = 1;
+        result.assignments[i] = best;
+        result.distances[i] = best_dist;
+        counts[s][best] += 1;
+        for (size_t j = 0; j < d; ++j) sums[s].At(best, j) += data.At(i, j);
+      }
+    });
+    bool changed = false;
+    Matrix centroids(k, d);
+    std::vector<size_t> total(k, 0);
+    for (size_t s = 0; s < num_shards; ++s) {
+      if (shard_changed[s]) changed = true;
+      centroids += sums[s];
+      for (size_t c = 0; c < k; ++c) total[c] += counts[s][c];
+    }
+    double movement = 0.0;
+    for (size_t c = 0; c < k; ++c) {
+      if (total[c] == 0) {
+        const size_t far = static_cast<size_t>(
+            std::max_element(result.distances.begin(),
+                             result.distances.end()) -
+            result.distances.begin());
+        for (size_t j = 0; j < d; ++j) centroids.At(c, j) = data.At(far, j);
+        changed = true;
+      } else {
+        for (size_t j = 0; j < d; ++j) {
+          centroids.At(c, j) /= static_cast<double>(total[c]);
+        }
+      }
+      movement += centroids.RowDistanceSquared(c, result.centroids, c);
+    }
+    result.centroids = centroids;
+    if (!changed || movement < options.tolerance) break;
+  }
+  for (double& dist : result.distances) dist = std::sqrt(dist);
+  return result;
+}
+
+TEST(KMeansTest, LanePanelsMatchRowDistanceReference) {
+  // 600 points make three reduce shards; 2500 x 24 is the selector's shape
+  // on the detect workload. k = 7 and 8 end on a partial and a full lane
+  // panel, k = 40 spans five panels.
+  std::vector<la::simd::Isa> isas = {la::simd::Isa::kScalar};
+  if (la::simd::Compiled()) {
+    isas.push_back(la::simd::Isa::kSse2);
+    isas.push_back(la::simd::BestSupportedIsa());
+  }
+  for (const auto& [n, d] : {std::pair<size_t, size_t>{600, 5}, {2500, 24}}) {
+    util::Rng data_rng(n + d);
+    const Matrix data = Matrix::RandomNormal(n, d, 1.0, data_rng);
+    for (size_t k : {1u, 7u, 8u, 40u}) {
+      util::Rng ref_rng(k);
+      const KMeansResult expect = ReferenceKMeans(data, k, ref_rng);
+      for (la::simd::Isa isa : isas) {
+        la::simd::ScopedIsaOverride pin(isa);
+        util::Rng rng(k);
+        auto result = KMeans(data, {.num_clusters = k}, rng);
+        ASSERT_TRUE(result.ok());
+        const KMeansResult& got = result.value();
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " d=" << d << " k=" << k << " isa="
+                     << la::simd::IsaName(isa));
+        EXPECT_EQ(got.iterations, expect.iterations);
+        EXPECT_EQ(got.assignments, expect.assignments);
+        EXPECT_EQ(0, std::memcmp(got.distances.data(), expect.distances.data(),
+                                 n * sizeof(double)));
+        ASSERT_EQ(got.centroids.size(), expect.centroids.size());
+        EXPECT_EQ(0, std::memcmp(got.centroids.data().data(),
+                                 expect.centroids.data().data(),
+                                 expect.centroids.size() * sizeof(double)));
+      }
+    }
+  }
 }
 
 class KMeansSweepTest : public ::testing::TestWithParam<size_t> {};

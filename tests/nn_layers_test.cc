@@ -1,5 +1,6 @@
 #include <cstring>
 #include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "nn/gcn_layer.h"
 #include "nn/sequential.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace gale::nn {
 namespace {
@@ -105,6 +107,28 @@ TEST(DropoutTest, BackwardUsesSameMask) {
   for (size_t i = 0; i < y.data().size(); ++i) {
     EXPECT_DOUBLE_EQ(grad_in.data()[i], y.data()[i]);
   }
+}
+
+TEST(DropoutTest, GoldenBits) {
+  // Pins the training mask and output bit for bit, signed zeros included:
+  // a dropped element is +0.0 whatever the sign of its input, and a kept
+  // -0.0 stays -0.0. Backward of a ones gradient returns the mask itself.
+  util::Rng data_rng(7);
+  la::Matrix x = la::Matrix::RandomNormal(64, 64, 1.0, data_rng);
+  for (size_t i = 0; i < x.size(); i += 5) x.data()[i] = -x.data()[i] * 0.0;
+  util::Rng rng(20230405);
+  Dropout dropout(0.2, rng);
+  const la::Matrix y = dropout.Forward(x, /*training=*/true);
+  const la::Matrix mask = dropout.Backward(la::Matrix(64, 64, 1.0));
+  auto hash = [](const la::Matrix& m) {
+    return util::Fnv1aHash(std::string_view(
+        reinterpret_cast<const char*>(m.data().data()),
+        m.size() * sizeof(double)));
+  };
+  EXPECT_EQ(hash(y), 0x84a5cf1e28bcbebeULL)
+      << std::hex << "output hash 0x" << hash(y);
+  EXPECT_EQ(hash(mask), 0x4a735f96290d79c5ULL)
+      << std::hex << "mask hash 0x" << hash(mask);
 }
 
 TEST(BatchNormTest, NormalizesBatchInTraining) {

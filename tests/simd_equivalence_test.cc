@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,14 +65,20 @@ la::Matrix SignedMatrix(size_t rows, size_t cols, uint64_t seed) {
   return m;
 }
 
+// Raw-bit comparison: unlike ==, it tells -0.0 from +0.0.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 void ExpectBitwiseEqual(const la::Matrix& expect, const la::Matrix& got,
                         const char* what, Isa isa) {
   ASSERT_EQ(expect.rows(), got.rows()) << what;
   ASSERT_EQ(expect.cols(), got.cols()) << what;
   for (size_t i = 0; i < expect.data().size(); ++i) {
-    ASSERT_EQ(expect.data()[i], got.data()[i])
+    ASSERT_TRUE(SameBits(expect.data()[i], got.data()[i]))
         << what << ": element " << i << " differs on "
-        << la::simd::IsaName(isa);
+        << la::simd::IsaName(isa) << " (" << expect.data()[i] << " vs "
+        << got.data()[i] << ")";
   }
 }
 
@@ -249,6 +256,123 @@ TEST(SimdEquivalenceTest, MatMulIntoWarmBuffers) {
         return out;
       },
       "TransposedMatMulInto(accumulate)");
+}
+
+// --- register tiles --------------------------------------------------------
+
+// Operands carrying the IEEE edge cases a reordered sum would expose:
+// ±0.0, subnormals, and tiny normals whose products are subnormal.
+la::Matrix EdgeMatrix(size_t rows, size_t cols, uint64_t seed) {
+  la::Matrix m = RandomMatrix(rows, cols, seed);
+  for (size_t i = 0; i < m.size(); ++i) {
+    double& v = m.data()[i];
+    if (i % 7 == 3) v = 0.0;
+    if (i % 11 == 5) v = -0.0;
+    if (i % 13 == 6) v = i % 2 == 0 ? 0x1p-1060 : -0x1p-1060;
+    if (i % 17 == 8) v *= 0x1p-520;
+  }
+  return m;
+}
+
+// out + A·B element by element, in MatMul's tree: one Axpy4 term
+// ((a0·b0 + a1·b1) + a2·b2) + a3·b3 per k-group, then one Axpy term per
+// leftover k. Independent of the tiles and the row sweeps.
+la::Matrix ReferenceMatMul(const la::Matrix& a, const la::Matrix& b,
+                           la::Matrix out) {
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.cols(); ++j) {
+      double acc = out.At(i, j);
+      size_t k = 0;
+      for (; k + 4 <= a.cols(); k += 4) {
+        acc += a.At(i, k) * b.At(k, j) + a.At(i, k + 1) * b.At(k + 1, j) +
+               a.At(i, k + 2) * b.At(k + 2, j) +
+               a.At(i, k + 3) * b.At(k + 3, j);
+      }
+      for (; k < a.cols(); ++k) acc += a.At(i, k) * b.At(k, j);
+      out.At(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+// A·Bᵀ element by element in Dot4's tree: four accumulators over the
+// k ≡ l (mod 4) terms, the tail into acc0, combine (acc0+acc1)+(acc2+acc3).
+la::Matrix ReferenceMatMulTransposed(const la::Matrix& a, const la::Matrix& b) {
+  la::Matrix out(a.rows(), b.rows());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.rows(); ++j) {
+      double acc[4] = {0.0, 0.0, 0.0, 0.0};
+      size_t k = 0;
+      for (; k + 4 <= a.cols(); k += 4) {
+        for (size_t l = 0; l < 4; ++l) {
+          acc[l] += a.At(i, k + l) * b.At(j, k + l);
+        }
+      }
+      for (; k < a.cols(); ++k) acc[0] += a.At(i, k) * b.At(j, k);
+      out.At(i, j) = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    }
+  }
+  return out;
+}
+
+TEST(SimdEquivalenceTest, RegisterTilesRaggedShapes) {
+  // Rows around the 4-row (A·B) and 2-row (A·Bᵀ) tile heights, columns
+  // around the 8- and 4-wide tile widths, inner lengths around the k-group
+  // of four; every ISA and thread count must reproduce the reference bits.
+  uint64_t seed = 100;
+  for (size_t rows : {1u, 3u, 4u, 5u, 9u}) {
+    for (size_t n : {1u, 3u, 7u, 8u, 9u, 24u, 64u, 162u}) {
+      for (size_t k : {1u, 3u, 4u, 5u, 162u}) {
+        const la::Matrix a = EdgeMatrix(rows, k, ++seed);
+        const la::Matrix b = EdgeMatrix(k, n, ++seed);
+        const la::Matrix bt = EdgeMatrix(n, k, ++seed);
+        const la::Matrix init = EdgeMatrix(rows, n, ++seed);
+        const la::Matrix mm = ReferenceMatMul(a, b, la::Matrix(rows, n));
+        const la::Matrix mm_acc = ReferenceMatMul(a, b, init);
+        const la::Matrix mt = ReferenceMatMulTransposed(a, bt);
+        SCOPED_TRACE(::testing::Message()
+                     << "rows=" << rows << " n=" << n << " k=" << k);
+        for (int threads : kThreadCounts) {
+          util::ScopedParallelism p(threads);
+          for (Isa isa : IsasUnderTest()) {
+            la::simd::ScopedIsaOverride pin(isa);
+            ExpectBitwiseEqual(mm, a.MatMul(b), "MatMul tile", isa);
+            la::Matrix acc = init;
+            a.MatMulInto(b, &acc, /*accumulate=*/true);
+            ExpectBitwiseEqual(mm_acc, acc, "MatMulInto(accumulate) tile",
+                               isa);
+            ExpectBitwiseEqual(mt, a.MatMulTransposed(bt),
+                               "MatMulTransposed tile", isa);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdEquivalenceTest, DistanceLanesMatchRowDistance) {
+  // Every lane of DistanceSquared8 is RowDistanceSquared's serial chain.
+  for (size_t d : {1u, 3u, 24u, 162u}) {
+    const la::Matrix point = EdgeMatrix(1, d, 300 + d);
+    const la::Matrix centroids = EdgeMatrix(la::simd::kDistanceLanes, d,
+                                            400 + d);
+    std::vector<double> panel(d * la::simd::kDistanceLanes);
+    for (size_t l = 0; l < la::simd::kDistanceLanes; ++l) {
+      for (size_t c = 0; c < d; ++c) {
+        panel[c * la::simd::kDistanceLanes + l] = centroids.At(l, c);
+      }
+    }
+    for (Isa isa : IsasUnderTest()) {
+      la::simd::ScopedIsaOverride pin(isa);
+      double dist[la::simd::kDistanceLanes];
+      la::simd::DistanceSquared8(dist, point.RowPtr(0), panel.data(), d);
+      for (size_t l = 0; l < la::simd::kDistanceLanes; ++l) {
+        EXPECT_TRUE(
+            SameBits(dist[l], point.RowDistanceSquared(0, centroids, l)))
+            << "d=" << d << " lane " << l << " on " << la::simd::IsaName(isa);
+      }
+    }
+  }
 }
 
 TEST(SimdEquivalenceTest, ElementwiseFamily) {

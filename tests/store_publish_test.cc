@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/sgan.h"
 #include "graph/attributed_graph.h"
@@ -81,8 +85,20 @@ core::DiscriminatorSnapshot StoreDiscriminator(
   return MakeDiscriminator(encoder.RawDims(store.graph()));
 }
 
+// Files live in a per-process directory, removed at exit: ctest runs this
+// binary and its _mt4 entry concurrently, and shared paths would let one
+// truncate the other's files.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  static const struct ProcessDir {
+    std::string path =
+        ::testing::TempDir() + "/gale_store_" + std::to_string(getpid());
+    ProcessDir() { std::filesystem::create_directories(path); }
+    ~ProcessDir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  } dir;
+  return dir.path + "/" + name;
 }
 
 std::string ReadFileBytes(const std::string& path) {
