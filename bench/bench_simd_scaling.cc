@@ -1,6 +1,6 @@
 // Lane-width scaling sweep for the vectorized kernels: the same fixed
-// workloads are timed once per instruction set (scalar, sse2, avx2 — only
-// the ISAs this CPU supports) at a single thread, with speedups reported
+// workloads are timed once per instruction set (scalar, and avx2 when
+// this CPU supports it) at a single thread, with speedups reported
 // against the scalar run of the same binary. Because every SIMD kernel is
 // bitwise-identical to its scalar fallback (see src/la/simd.h), the sweep
 // measures pure lane-width throughput, not numerical shortcuts.
@@ -66,9 +66,9 @@ struct Workload {
 
 std::vector<la::simd::Isa> IsasOnThisMachine() {
   std::vector<la::simd::Isa> isas = {la::simd::Isa::kScalar};
-  const la::simd::Isa best = la::simd::BestSupportedIsa();
-  if (best >= la::simd::Isa::kSse2) isas.push_back(la::simd::Isa::kSse2);
-  if (best >= la::simd::Isa::kAvx2) isas.push_back(la::simd::Isa::kAvx2);
+  if (la::simd::BestSupportedIsa() == la::simd::Isa::kAvx2) {
+    isas.push_back(la::simd::Isa::kAvx2);
+  }
   return isas;
 }
 

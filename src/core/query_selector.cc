@@ -13,12 +13,6 @@ namespace gale::core {
 
 namespace {
 
-uint64_t PairKey(size_t u, size_t v) {
-  const uint64_t a = std::min(u, v);
-  const uint64_t b = std::max(u, v);
-  return (a << 32) | (b & 0xffffffffULL);
-}
-
 // Minimum candidates per shard for the greedy scans; the per-candidate
 // work is a couple of flops (argmax) or one row distance (diversity), so
 // shards need to be wide to beat the dispatch cost.
@@ -27,27 +21,6 @@ constexpr size_t kScanGrain = 512;
 // Shard kernels are noinline free functions over plain pointers so the
 // closure pointer never competes for registers in the hot loops
 // (DESIGN.md §6).
-
-// Marks nodes [v0, v1) whose embedding row moved more than `tol` in any
-// coordinate since the previous round.
-__attribute__((noinline)) void ChangeFlagShard(const double* cur,
-                                               const double* prev,
-                                               size_t cols, double tol,
-                                               uint8_t* flags, size_t v0,
-                                               size_t v1) {
-  for (size_t v = v0; v < v1; ++v) {
-    const double* a = cur + v * cols;
-    const double* b = prev + v * cols;
-    bool changed = false;
-    for (size_t c = 0; c < cols; ++c) {
-      if (std::abs(a[c] - b[c]) > tol) {
-        changed = true;
-        break;
-      }
-    }
-    flags[v] = changed ? 1 : 0;
-  }
-}
 
 // First-max-wins argmax of ½T(v) + λ·diversity over untaken candidates in
 // [i0, i1); SIZE_MAX when the shard has none.
@@ -66,6 +39,27 @@ __attribute__((noinline)) void ArgmaxGainShard(
   }
   *gain_out = best_gain;
   *idx_out = best_idx;
+}
+
+// Adds d(h(u), h(chosen)) / mean_pairwise to diversity_sum[i] for every
+// untaken candidate i in [i0, i1), u = unlabeled[i]. The distance is
+// Matrix::RowDistanceSquared's serial chain, then one sqrt. Each i is a
+// disjoint write, so the sums are the same bits at every thread count.
+__attribute__((noinline)) void DiversityShard(
+    const uint8_t* taken, const size_t* unlabeled, const double* embeddings,
+    size_t cols, size_t chosen, double mean_pairwise, double* diversity_sum,
+    size_t i0, size_t i1) {
+  const double* b = embeddings + chosen * cols;
+  for (size_t i = i0; i < i1; ++i) {
+    if (taken[i]) continue;
+    const double* a = embeddings + unlabeled[i] * cols;
+    double acc = 0.0;
+    for (size_t c = 0; c < cols; ++c) {
+      const double d = a[c] - b[c];
+      acc += d * d;
+    }
+    diversity_sum[i] += std::sqrt(acc) / mean_pairwise;
+  }
 }
 
 }  // namespace
@@ -105,10 +99,6 @@ util::Result<void> QuerySelectorOptions::Validate() const {
     return util::Status::InvalidArgument(
         "QuerySelectorOptions: ppr_batch_size must be > 0");
   }
-  if (embedding_tolerance < 0.0) {
-    return util::Status::InvalidArgument(
-        "QuerySelectorOptions: embedding_tolerance must be >= 0");
-  }
   return {};
 }
 
@@ -123,37 +113,11 @@ QuerySelector::QuerySelector(const la::SparseMatrix* walk_matrix,
                             .batch_size = options.ppr_batch_size}),
       registry_(obs::CurrentRegistry() != nullptr ? obs::CurrentRegistry()
                                                   : &own_registry_),
-      cache_hits_(registry_->counter("gale.core.selector.distance_cache_hits")),
-      cache_misses_(
-          registry_->counter("gale.core.selector.distance_cache_misses")),
-      nodes_changed_(registry_->counter("gale.core.selector.nodes_changed")),
-      nodes_unchanged_(
-          registry_->counter("gale.core.selector.nodes_unchanged")),
       last_select_seconds_(
           registry_->gauge("gale.core.selector.last_select_seconds")),
       ppr_rows_computed_(
           registry_->gauge("gale.core.selector.ppr_rows_computed")) {
   GALE_CHECK(walk_matrix != nullptr);
-}
-
-void QuerySelector::RefreshChangeFlags(const la::Matrix& embeddings) {
-  const size_t n = embeddings.rows();
-  embedding_changed_.assign(n, 1);
-  if (options_.memoization && last_embeddings_.rows() == n &&
-      last_embeddings_.cols() == embeddings.cols()) {
-    // Per-node flags are disjoint writes; telemetry is counted serially
-    // below.
-    util::ParallelFor(0, n, kScanGrain, [&](size_t v0, size_t v1) {
-      ChangeFlagShard(embeddings.RowPtr(0), last_embeddings_.RowPtr(0),
-                      embeddings.cols(), options_.embedding_tolerance,
-                      embedding_changed_.data(), v0, v1);
-    });
-  }
-  size_t changed = 0;
-  for (uint8_t f : embedding_changed_) changed += f;
-  nodes_changed_->Increment(changed);
-  nodes_unchanged_->Increment(embedding_changed_.size() - changed);
-  last_embeddings_ = embeddings;
 }
 
 util::Result<std::vector<size_t>> QuerySelector::Select(
@@ -277,8 +241,6 @@ util::Result<std::vector<size_t>> QuerySelector::SelectGale(
     const std::vector<size_t>& unlabeled, const la::Matrix& embeddings,
     const std::vector<int>& example_labels, const la::Matrix& class_probs,
     size_t k) {
-  RefreshChangeFlags(embeddings);
-
   // Soft labels Ls via label propagation from the current examples.
   std::vector<int> soft_labels(embeddings.rows(), kUnlabeled);
   {
@@ -354,8 +316,6 @@ util::Result<std::vector<size_t>> QuerySelector::SelectGale(
   const size_t num_shards = util::NumReduceShards(m, kScanGrain);
   std::vector<double> shard_best_gain(num_shards);
   std::vector<size_t> shard_best_idx(num_shards);
-  std::vector<double> dist(m, 0.0);
-  std::vector<uint8_t> fresh(m, 0);
   double prefix_typicality = 0.0;
   for (size_t round = 0; round < k; ++round) {
     // Candidate-scoring scan: per-shard argmax (first-max-wins inside a
@@ -385,76 +345,12 @@ util::Result<std::vector<size_t>> QuerySelector::SelectGale(
                 std::to_string(selected.size()))
         ->Set(prefix_typicality);
 
-    // Pairwise-diversity scan against the newly selected node. The serial
-    // path fuses probe, insert, and accumulation into one pass; the
-    // parallel path computes distances first (the cache is only probed —
-    // concurrent reads of an unmodified unordered_map are safe) and then
-    // does inserts and telemetry on this thread. Both paths visit
-    // candidates in ascending order and produce identical values,
-    // telemetry, and cache contents.
-    if (util::Parallelism() == 1) {
-      for (size_t i = 0; i < m; ++i) {
-        if (taken[i]) continue;
-        const size_t u = unlabeled[i];
-        double dv = 0.0;
-        bool hit = false;
-        if (options_.memoization) {
-          auto it = distance_cache_.find(PairKey(u, chosen));
-          if (it != distance_cache_.end() && !embedding_changed_[u] &&
-              !embedding_changed_[chosen]) {
-            dv = it->second;
-            hit = true;
-          }
-        }
-        if (hit) {
-          cache_hits_->Increment();
-        } else {
-          dv = std::sqrt(
-              embeddings.RowDistanceSquared(u, embeddings, chosen));
-          cache_misses_->Increment();
-          if (options_.memoization) {
-            distance_cache_[PairKey(u, chosen)] = dv;
-          }
-        }
-        diversity_sum[i] += dv / mean_pairwise;
-      }
-    } else {
-      // The body is one cache probe plus one memory-bound row distance per
-      // candidate — dominated by the unordered_map find and the
-      // embedding-row loads, with no inner-loop register pressure for the
-      // closure pointer to aggravate.
-      // gale-lint: allow(shard-noinline): memory-bound cache-probe scan
-      util::ParallelFor(0, m, kScanGrain, [&](size_t i0, size_t i1) {
-        for (size_t i = i0; i < i1; ++i) {
-          if (taken[i]) continue;
-          const size_t u = unlabeled[i];
-          fresh[i] = 0;
-          if (options_.memoization) {
-            auto it = distance_cache_.find(PairKey(u, chosen));
-            if (it != distance_cache_.end() && !embedding_changed_[u] &&
-                !embedding_changed_[chosen]) {
-              dist[i] = it->second;
-              continue;
-            }
-          }
-          dist[i] =
-              std::sqrt(embeddings.RowDistanceSquared(u, embeddings, chosen));
-          fresh[i] = 1;
-        }
-      });
-      for (size_t i = 0; i < m; ++i) {
-        if (taken[i]) continue;
-        if (fresh[i]) {
-          cache_misses_->Increment();
-          if (options_.memoization) {
-            distance_cache_[PairKey(unlabeled[i], chosen)] = dist[i];
-          }
-        } else {
-          cache_hits_->Increment();
-        }
-        diversity_sum[i] += dist[i] / mean_pairwise;
-      }
-    }
+    // Pairwise-diversity scan against the newly selected node.
+    util::ParallelFor(0, m, kScanGrain, [&](size_t i0, size_t i1) {
+      DiversityShard(taken.data(), unlabeled.data(), embeddings.RowPtr(0),
+                     embeddings.cols(), chosen, mean_pairwise,
+                     diversity_sum.data(), i0, i1);
+    });
   }
   return selected;
 }

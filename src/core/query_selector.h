@@ -11,21 +11,21 @@
 //  * kEntropy — GALE(-Ent.): highest prediction entropy first;
 //  * kKmeans — GALE(-Kme.): nodes nearest to k-means centroids.
 //
-// The greedy QSelect scans (candidate argmax, pairwise diversity) run on
-// util::ParallelFor with fixed shard boundaries and a serial combine, so
-// selection is bitwise identical at every GALE_NUM_THREADS setting.
+// The greedy QSelect scans run on util::ParallelFor with fixed shard
+// boundaries: the candidate argmax combines per-shard winners serially in
+// shard order, and the pairwise-diversity scan writes one disjoint sum per
+// candidate. Selection is bitwise identical at every GALE_NUM_THREADS
+// setting.
 //
-// Memoization (toggle `memoization`; off reproduces U_GALE):
-//  (a) pairwise embedding distances cached across iterations, re-used when
-//      both endpoints' embeddings are element-wise unchanged within
-//      `embedding_tolerance` (the cache is probed read-only from the
-//      parallel diversity scan; inserts happen on the calling thread);
-//  (b) per-node changed-embedding flags recomputed per Select call;
-//  (c) a typicality dictionary keyed by |Q| recording the greedy prefix
-//      objective (cheap bookkeeping; exposed for telemetry);
-//  (d) PPR rows cached inside the shared PprEngine.
+// Memoization (toggle `memoization`; off reproduces U_GALE) is the PPR
+// row cache inside the shared PprEngine: each row P_v is computed once and
+// reused by typicality and the annotator across iterations. The selector
+// also records a typicality dictionary keyed by |Q| (the greedy prefix
+// objective, exposed for telemetry). Embedding distances are not cached:
+// inside Gale::Run every chosen node is labeled before the next Select,
+// so no (candidate, chosen) pair ever recurs.
 //
-// Telemetry flows through gale::obs: the selector resolves counter/gauge
+// Telemetry flows through gale::obs: the selector resolves gauge
 // handles under the metric prefix `gale.core.selector.` against the
 // registry that is ambient at construction (the run's registry inside
 // Gale::Run; a selector-owned fallback otherwise), and Select() opens a
@@ -38,7 +38,6 @@
 #include <cstddef>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/typicality.h"
@@ -78,12 +77,8 @@ struct QuerySelectorOptions {
   // Disable the topological-typicality factor (clusT-only typicality) —
   // a bench_ablation knob.
   bool use_topological_typicality = true;
-  // Section VII memoization on/off (off = U_GALE).
+  // Section VII memoization (the PPR row cache) on/off (off = U_GALE).
   bool memoization = true;
-  // Element-wise tolerance under which an embedding counts as unchanged;
-  // cached distances served under it are the paper's "approximate"
-  // distances d'(u, v).
-  double embedding_tolerance = 0.3;
   uint64_t seed = 11;
 
   // kInvalidArgument when any field is outside its documented domain;
@@ -95,32 +90,19 @@ struct QuerySelectorOptions {
 // decoded from the `gale.core.selector.*` metrics of an obs::Report by
 // SelectorTelemetryFromReport.
 struct SelectorTelemetry {
-  size_t distance_cache_hits = 0;
-  size_t distance_cache_misses = 0;
-  size_t nodes_unchanged = 0;  // embedding unchanged since last iteration
-  size_t nodes_changed = 0;
   double last_select_seconds = 0.0;
-  // (d) PPR power iterations actually run (cache misses of P).
+  // PPR power iterations actually run (cache misses of P).
   size_t ppr_rows_computed = 0;
-  // (c) typicality of the greedy prefix, keyed by |Q|.
+  // Typicality of the greedy prefix, keyed by |Q|.
   std::map<size_t, double> typicality_by_prefix;
 };
 
-// Decodes the selector metrics out of a report: counters for the cache
-// and change-flag tallies, gauges for the per-run scalars, and the
-// `gale.core.selector.typicality_by_prefix.<|Q|>` gauge family for the
-// prefix dictionary.
+// Decodes the selector metrics out of a report: gauges for the per-run
+// scalars and the `gale.core.selector.typicality_by_prefix.<|Q|>` gauge
+// family for the prefix dictionary.
 inline SelectorTelemetry SelectorTelemetryFromReport(
     const obs::Report& report) {
   SelectorTelemetry t;
-  t.distance_cache_hits = static_cast<size_t>(
-      report.CounterOr("gale.core.selector.distance_cache_hits"));
-  t.distance_cache_misses = static_cast<size_t>(
-      report.CounterOr("gale.core.selector.distance_cache_misses"));
-  t.nodes_unchanged = static_cast<size_t>(
-      report.CounterOr("gale.core.selector.nodes_unchanged"));
-  t.nodes_changed = static_cast<size_t>(
-      report.CounterOr("gale.core.selector.nodes_changed"));
   t.last_select_seconds =
       report.GaugeOr("gale.core.selector.last_select_seconds");
   t.ppr_rows_computed = static_cast<size_t>(
@@ -178,9 +160,6 @@ class QuerySelector {
       const std::vector<int>& example_labels, const la::Matrix& class_probs,
       size_t k);
 
-  // Updates the per-node changed flags against the stored embeddings.
-  void RefreshChangeFlags(const la::Matrix& embeddings);
-
   const la::SparseMatrix* walk_matrix_;
   QuerySelectorOptions options_;
   util::Rng rng_;
@@ -191,19 +170,8 @@ class QuerySelector {
   // (resolved once, bumped pointer-cheap on the hot paths).
   obs::Registry own_registry_;
   obs::Registry* registry_;
-  obs::Counter* cache_hits_;
-  obs::Counter* cache_misses_;
-  obs::Counter* nodes_changed_;
-  obs::Counter* nodes_unchanged_;
   obs::Gauge* last_select_seconds_;
   obs::Gauge* ppr_rows_computed_;
-
-  // Memoization state (Section VII).
-  la::Matrix last_embeddings_;
-  std::vector<uint8_t> embedding_changed_;
-  // Audited (gale_lint unordered-iter): keyed lookups only — probed and
-  // inserted by pair key during the diversity scans, never iterated.
-  std::unordered_map<uint64_t, double> distance_cache_;
 };
 
 }  // namespace gale::core

@@ -77,7 +77,7 @@ std::vector<DetectedError> StringNoiseDetector::Detect(
       double mean = 0.0;
       double sq = 0.0;
       size_t total_tokens = 0;
-      // Audited (gale_lint unordered-iter): keyed lookups only — both
+      // Audited (gale_analyze unordered-iter): keyed lookups only — both
       // passes iterate the ordered slot.tokens map and merely probe this
       // memo, so hash order cannot reach the output.
       std::unordered_map<std::string, double> loglik;

@@ -236,7 +236,7 @@ std::vector<Violation> CheckConstraints(
       constraint_of_edge_type[constraints[ci].edge_type] = ci;
     }
 
-    // Audited (gale_lint unordered-iter): keyed lookups only — filled in
+    // Audited (gale_analyze unordered-iter): keyed lookups only — filled in
     // this pass, probed per-edge below, never iterated, so hash order
     // cannot reach the output.
     std::unordered_map<size_t, std::pair<size_t, size_t>> tallies;

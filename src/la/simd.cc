@@ -16,18 +16,14 @@ std::atomic<int> g_isa{-1};
 Isa BestSupportedIsa() {
 #if GALE_SIMD_X86
   if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-  return Isa::kSse2;  // baseline x86-64
-#else
-  return Isa::kScalar;
 #endif
+  return Isa::kScalar;
 }
 
 const char* IsaName(Isa isa) {
   switch (isa) {
     case Isa::kAvx2:
       return "avx2";
-    case Isa::kSse2:
-      return "sse2";
     case Isa::kScalar:
       return "scalar";
   }
@@ -36,30 +32,13 @@ const char* IsaName(Isa isa) {
 
 namespace internal {
 
-namespace {
-
-// Clamps a requested ISA to what the machine can actually run.
-Isa Clamp(Isa requested) {
-  const Isa best = BestSupportedIsa();
-  return static_cast<int>(requested) <= static_cast<int>(best) ? requested
-                                                               : best;
-}
-
-}  // namespace
-
 int ResolveIsa() {
+  // "avx2" and unrecognized values keep the probed default, which is
+  // already the widest ISA the CPU runs; only "scalar" narrows it.
   Isa isa = BestSupportedIsa();
   // gale-lint: allow(env-read): one-time ISA pin, cached after first call
-  if (const char* env = std::getenv("GALE_SIMD_ISA")) {
-    if (std::strcmp(env, "scalar") == 0) {
-      isa = Isa::kScalar;
-    } else if (std::strcmp(env, "sse2") == 0) {
-      isa = Clamp(Isa::kSse2);
-    } else if (std::strcmp(env, "avx2") == 0) {
-      isa = Clamp(Isa::kAvx2);
-    }
-    // Unrecognized values keep the probed default.
-  }
+  const char* env = std::getenv("GALE_SIMD_ISA");
+  if (env != nullptr && std::strcmp(env, "scalar") == 0) isa = Isa::kScalar;
   const int v = static_cast<int>(isa);
   // Several threads may race the first resolution; they all compute the
   // same value, so a plain store is fine.

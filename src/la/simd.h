@@ -1,7 +1,7 @@
 // Portable SIMD substrate for the dense/sparse hot kernels: double-lane
-// primitives with AVX2 (4 lanes) and SSE2 (2 lanes) implementations and a
-// scalar fallback, selected once at runtime. This header is the ONE home
-// for vendor intrinsics in the tree (gale_lint rule `simd-intrinsics`).
+// primitives in two tiers, an AVX2 (4 lanes) implementation and the
+// scalar reference, selected once at runtime. This header is the ONE home
+// for vendor intrinsics in the tree (gale_analyze rule `simd-intrinsics`).
 //
 // Determinism contract — bitwise identity with the scalar path:
 //  * Every primitive vectorizes across *independent output elements*
@@ -18,10 +18,9 @@
 //  * The one reduction shape, Dot4, mirrors the fixed four-accumulator
 //    split of the scalar kernel: accumulator i sums the k ≡ i (mod 4)
 //    terms and the final combine is (acc0+acc1)+(acc2+acc3). AVX2 maps
-//    the four accumulators onto the four lanes of one register, SSE2
-//    onto two registers of two lanes; the summation tree is identical in
-//    all three, and the tail accumulates into acc0 exactly like the
-//    scalar remainder loop.
+//    the four accumulators onto the four lanes of one register; the
+//    summation tree is identical in both tiers, and the tail accumulates
+//    into acc0 exactly like the scalar remainder loop.
 //  * The register tiles (MatMulTile4x8, DotTile2x4, DistanceSquared8) hold
 //    a block of outputs in registers across the whole reduction instead
 //    of re-reading each output per step. They still vectorize only across
@@ -31,9 +30,8 @@
 //    and combine; a distance lane is RowDistanceSquared's serial chain.
 //    So a tile, a row sweep of Axpy4/Axpy calls, and a Dot4 call give an
 //    element the same bits, and callers send ragged rows and columns
-//    through Axpy4/Axpy/Dot4 on sub-ranges. The tiles have no SSE2 body;
-//    that dispatch runs the scalar reference.
-//  Consequently scalar, SSE2, and AVX2 results are bitwise equal to each
+//    through Axpy4/Axpy/Dot4 on sub-ranges.
+//  Consequently scalar and AVX2 results are bitwise equal to each
 //  other and (because the kernels shard over disjoint output rows) to
 //  every GALE_NUM_THREADS setting — pinned by simd_equivalence_test and
 //  la_parallel_equivalence_test.
@@ -42,10 +40,12 @@
 //  * GALE_SIMD=OFF at configure time compiles the scalar path only (no
 //    <immintrin.h> anywhere in the build).
 //  * With GALE_SIMD=ON (the default) the ISA is resolved once, on first
-//    use: the GALE_SIMD_ISA environment variable (scalar|sse2|avx2) if
-//    set and supported, else AVX2 when __builtin_cpu_supports says so,
-//    else SSE2 (baseline x86-64), else scalar. Requests the CPU cannot
-//    honor degrade to the best supported ISA.
+//    use: the GALE_SIMD_ISA environment variable (scalar|avx2) if set,
+//    else AVX2 when __builtin_cpu_supports says so, else scalar. An avx2
+//    request on a CPU without AVX2 runs scalar; any other value keeps the
+//    probed default.
+//  * Every primitive follows one rule: the AVX2 body when AVX2 is the
+//    active ISA, else the scalar reference.
 //  * Tests pin the path with ScopedIsaOverride; the override is a
 //    relaxed atomic so kernels running on pool threads observe it.
 //
@@ -135,7 +135,7 @@ inline bool IsArenaAligned(const void* p) {
 // ISA selection
 // ---------------------------------------------------------------------------
 
-enum class Isa : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class Isa : int { kScalar = 0, kAvx2 = 1 };
 
 // True when this binary carries the vector paths at all (GALE_SIMD=ON on
 // an x86-64 target).
@@ -153,7 +153,7 @@ int ResolveIsa();
 // Widest ISA the runtime guard allows on this machine.
 Isa BestSupportedIsa();
 
-// Human-readable ISA name ("scalar", "sse2", "avx2").
+// Human-readable ISA name ("scalar", "avx2").
 const char* IsaName(Isa isa);
 
 // The path every primitive dispatches to. Resolved once on first use;
@@ -387,266 +387,6 @@ inline void DistanceSquared8(double* out, const double* x, const double* panel,
 }  // namespace scalar
 
 #if GALE_SIMD_X86
-
-// ---------------------------------------------------------------------------
-// SSE2 (2 double lanes) — baseline x86-64, no target attribute needed
-// ---------------------------------------------------------------------------
-
-namespace sse2 {
-
-inline void Axpy(double* out, const double* x, double a, std::size_t n) {
-  const __m128d av = _mm_set1_pd(a);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const __m128d o = _mm_loadu_pd(out + j);
-    const __m128d t = _mm_mul_pd(av, _mm_loadu_pd(x + j));
-    _mm_storeu_pd(out + j, _mm_add_pd(o, t));
-  }
-  for (; j < n; ++j) out[j] += a * x[j];
-}
-
-inline void Axpy4(double* out, const double* x0, const double* x1,
-                  const double* x2, const double* x3, double a0, double a1,
-                  double a2, double a3, std::size_t n) {
-  const __m128d a0v = _mm_set1_pd(a0);
-  const __m128d a1v = _mm_set1_pd(a1);
-  const __m128d a2v = _mm_set1_pd(a2);
-  const __m128d a3v = _mm_set1_pd(a3);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    // ((a0*x0 + a1*x1) + a2*x2) + a3*x3 — the scalar left-to-right tree.
-    __m128d s = _mm_add_pd(_mm_mul_pd(a0v, _mm_loadu_pd(x0 + j)),
-                           _mm_mul_pd(a1v, _mm_loadu_pd(x1 + j)));
-    s = _mm_add_pd(s, _mm_mul_pd(a2v, _mm_loadu_pd(x2 + j)));
-    s = _mm_add_pd(s, _mm_mul_pd(a3v, _mm_loadu_pd(x3 + j)));
-    _mm_storeu_pd(out + j, _mm_add_pd(_mm_loadu_pd(out + j), s));
-  }
-  for (; j < n; ++j) {
-    out[j] += a0 * x0[j] + a1 * x1[j] + a2 * x2[j] + a3 * x3[j];
-  }
-}
-
-inline double Dot4(const double* a, const double* b, std::size_t n) {
-  // accA = {acc0, acc1}, accB = {acc2, acc3}: lane l of accA sums the
-  // k ≡ l (mod 4) terms, lane l of accB the k ≡ 2+l (mod 4) terms —
-  // exactly the scalar kernel's four accumulators.
-  __m128d acc_a = _mm_setzero_pd();
-  __m128d acc_b = _mm_setzero_pd();
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    acc_a = _mm_add_pd(acc_a,
-                       _mm_mul_pd(_mm_loadu_pd(a + k), _mm_loadu_pd(b + k)));
-    acc_b = _mm_add_pd(
-        acc_b, _mm_mul_pd(_mm_loadu_pd(a + k + 2), _mm_loadu_pd(b + k + 2)));
-  }
-  double lanes_a[2];
-  double lanes_b[2];
-  _mm_storeu_pd(lanes_a, acc_a);
-  _mm_storeu_pd(lanes_b, acc_b);
-  double acc0 = lanes_a[0];
-  for (; k < n; ++k) acc0 += a[k] * b[k];
-  return (acc0 + lanes_a[1]) + (lanes_b[0] + lanes_b[1]);
-}
-
-inline void Add(double* out, const double* a, const double* b,
-                std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    _mm_storeu_pd(out + j,
-                  _mm_add_pd(_mm_loadu_pd(a + j), _mm_loadu_pd(b + j)));
-  }
-  for (; j < n; ++j) out[j] = a[j] + b[j];
-}
-
-inline void Sub(double* out, const double* a, const double* b,
-                std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    _mm_storeu_pd(out + j,
-                  _mm_sub_pd(_mm_loadu_pd(a + j), _mm_loadu_pd(b + j)));
-  }
-  for (; j < n; ++j) out[j] = a[j] - b[j];
-}
-
-inline void Scale(double* out, const double* a, double s, std::size_t n) {
-  const __m128d sv = _mm_set1_pd(s);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    _mm_storeu_pd(out + j, _mm_mul_pd(_mm_loadu_pd(a + j), sv));
-  }
-  for (; j < n; ++j) out[j] = a[j] * s;
-}
-
-inline void Mul(double* out, const double* a, const double* b,
-                std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    _mm_storeu_pd(out + j,
-                  _mm_mul_pd(_mm_loadu_pd(a + j), _mm_loadu_pd(b + j)));
-  }
-  for (; j < n; ++j) out[j] = a[j] * b[j];
-}
-
-inline void AddAssign(double* out, const double* x, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    _mm_storeu_pd(out + j,
-                  _mm_add_pd(_mm_loadu_pd(out + j), _mm_loadu_pd(x + j)));
-  }
-  for (; j < n; ++j) out[j] += x[j];
-}
-
-inline void SubAssign(double* out, const double* x, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    _mm_storeu_pd(out + j,
-                  _mm_sub_pd(_mm_loadu_pd(out + j), _mm_loadu_pd(x + j)));
-  }
-  for (; j < n; ++j) out[j] -= x[j];
-}
-
-inline void ScaleAssign(double* out, double s, std::size_t n) {
-  const __m128d sv = _mm_set1_pd(s);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    _mm_storeu_pd(out + j, _mm_mul_pd(_mm_loadu_pd(out + j), sv));
-  }
-  for (; j < n; ++j) out[j] *= s;
-}
-
-inline void MulAssign(double* out, const double* x, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    _mm_storeu_pd(out + j,
-                  _mm_mul_pd(_mm_loadu_pd(out + j), _mm_loadu_pd(x + j)));
-  }
-  for (; j < n; ++j) out[j] *= x[j];
-}
-
-inline void ReluForward(double* out, const double* in, std::size_t n) {
-  // max_pd(v, 0) matches `v > 0 ? v : 0` bit-for-bit: for v == ±0 it
-  // returns the second operand (+0), and for v == NaN the compare is
-  // false so it also returns +0 — the scalar branch behaves identically.
-  const __m128d zero = _mm_setzero_pd();
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    _mm_storeu_pd(out + j, _mm_max_pd(_mm_loadu_pd(in + j), zero));
-  }
-  for (; j < n; ++j) {
-    const double v = in[j];
-    out[j] = v > 0.0 ? v : 0.0;
-  }
-}
-
-inline void ReluBackward(double* out, const double* grad, const double* in,
-                         std::size_t n) {
-  // cmple(in, 0) then andnot: where in <= 0 the lane becomes +0, exactly
-  // the scalar assignment; NaN inputs fail the compare and keep grad,
-  // matching `in <= 0 ? 0 : grad`.
-  const __m128d zero = _mm_setzero_pd();
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const __m128d mask = _mm_cmple_pd(_mm_loadu_pd(in + j), zero);
-    _mm_storeu_pd(out + j, _mm_andnot_pd(mask, _mm_loadu_pd(grad + j)));
-  }
-  for (; j < n; ++j) out[j] = in[j] <= 0.0 ? 0.0 : grad[j];
-}
-
-inline void LeakyReluForward(double* out, const double* in, double slope,
-                             std::size_t n) {
-  const __m128d zero = _mm_setzero_pd();
-  const __m128d sv = _mm_set1_pd(slope);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const __m128d v = _mm_loadu_pd(in + j);
-    const __m128d le = _mm_cmple_pd(v, zero);
-    const __m128d scaled = _mm_mul_pd(sv, v);
-    // Select scaled where v <= 0, v elsewhere (NaN keeps slope*NaN = NaN,
-    // same as the scalar ternary's false branch).
-    _mm_storeu_pd(out + j, _mm_or_pd(_mm_and_pd(le, scaled),
-                                     _mm_andnot_pd(le, v)));
-  }
-  for (; j < n; ++j) {
-    const double v = in[j];
-    out[j] = v > 0.0 ? v : slope * v;
-  }
-}
-
-inline void LeakyReluBackward(double* out, const double* grad,
-                              const double* in, double slope,
-                              std::size_t n) {
-  const __m128d zero = _mm_setzero_pd();
-  const __m128d sv = _mm_set1_pd(slope);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const __m128d g = _mm_loadu_pd(grad + j);
-    const __m128d le = _mm_cmple_pd(_mm_loadu_pd(in + j), zero);
-    const __m128d scaled = _mm_mul_pd(g, sv);
-    _mm_storeu_pd(out + j,
-                  _mm_or_pd(_mm_and_pd(le, scaled), _mm_andnot_pd(le, g)));
-  }
-  for (; j < n; ++j) out[j] = in[j] <= 0.0 ? grad[j] * slope : grad[j];
-}
-
-inline void SigmoidBackward(double* out, const double* grad, const double* s,
-                            std::size_t n) {
-  const __m128d one = _mm_set1_pd(1.0);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const __m128d sj = _mm_loadu_pd(s + j);
-    const __m128d t = _mm_mul_pd(sj, _mm_sub_pd(one, sj));
-    _mm_storeu_pd(out + j, _mm_mul_pd(_mm_loadu_pd(grad + j), t));
-  }
-  for (; j < n; ++j) out[j] = grad[j] * (s[j] * (1.0 - s[j]));
-}
-
-inline void TanhBackward(double* out, const double* grad, const double* t,
-                         std::size_t n) {
-  const __m128d one = _mm_set1_pd(1.0);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const __m128d tj = _mm_loadu_pd(t + j);
-    const __m128d d = _mm_sub_pd(one, _mm_mul_pd(tj, tj));
-    _mm_storeu_pd(out + j, _mm_mul_pd(_mm_loadu_pd(grad + j), d));
-  }
-  for (; j < n; ++j) out[j] = grad[j] * (1.0 - t[j] * t[j]);
-}
-
-inline void AdamUpdate(double* p, double* m, double* v, const double* g,
-                       double lr, double beta1, double beta2, double bias1,
-                       double bias2, double eps, std::size_t n) {
-  const __m128d b1 = _mm_set1_pd(beta1);
-  const __m128d b2 = _mm_set1_pd(beta2);
-  const __m128d omb1 = _mm_set1_pd(1.0 - beta1);
-  const __m128d omb2 = _mm_set1_pd(1.0 - beta2);
-  const __m128d bias1v = _mm_set1_pd(bias1);
-  const __m128d bias2v = _mm_set1_pd(bias2);
-  const __m128d lrv = _mm_set1_pd(lr);
-  const __m128d epsv = _mm_set1_pd(eps);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const __m128d grad = _mm_loadu_pd(g + j);
-    const __m128d mj = _mm_add_pd(_mm_mul_pd(b1, _mm_loadu_pd(m + j)),
-                                  _mm_mul_pd(omb1, grad));
-    // (1-b2) * grad * grad is left-associated in the scalar sweep.
-    const __m128d vj = _mm_add_pd(
-        _mm_mul_pd(b2, _mm_loadu_pd(v + j)),
-        _mm_mul_pd(_mm_mul_pd(omb2, grad), grad));
-    _mm_storeu_pd(m + j, mj);
-    _mm_storeu_pd(v + j, vj);
-    const __m128d m_hat = _mm_div_pd(mj, bias1v);
-    const __m128d v_hat = _mm_div_pd(vj, bias2v);
-    const __m128d denom = _mm_add_pd(_mm_sqrt_pd(v_hat), epsv);
-    const __m128d step = _mm_div_pd(_mm_mul_pd(lrv, m_hat), denom);
-    _mm_storeu_pd(p + j, _mm_sub_pd(_mm_loadu_pd(p + j), step));
-  }
-  if (j < n) {
-    scalar::AdamUpdate(p + j, m + j, v + j, g + j, lr, beta1, beta2, bias1,
-                       bias2, eps, n - j);
-  }
-}
-
-}  // namespace sse2
 
 // ---------------------------------------------------------------------------
 // AVX2 (4 double lanes) — per-function target attribute so the rest of
@@ -1019,22 +759,16 @@ GALE_SIMD_AVX2 void DistanceSquared8(double* out, const double* x,
 // ---------------------------------------------------------------------------
 // Dispatch wrappers — what the kernels call
 // ---------------------------------------------------------------------------
-// Each wrapper costs one relaxed load + switch per row sweep, which is
+// Each wrapper costs one relaxed load + branch per row sweep, which is
 // noise next to the sweep itself (n is a feature/column count). The
 // GALE_SIMD=OFF build compiles straight to the scalar call.
 
 #if GALE_SIMD_X86
-#define GALE_SIMD_DISPATCH(call)                   \
-  switch (ActiveIsa()) {                           \
-    case Isa::kAvx2: { avx2::call; }               \
-      break;                                       \
-    case Isa::kSse2: { sse2::call; }               \
-      break;                                       \
-    default: { scalar::call; }                     \
-      break;                                       \
-  }
+#define GALE_SIMD_DISPATCH(call)                    \
+  if (ActiveIsa() == Isa::kAvx2) return avx2::call; \
+  return scalar::call;
 #else
-#define GALE_SIMD_DISPATCH(call) scalar::call;
+#define GALE_SIMD_DISPATCH(call) return scalar::call;
 #endif
 
 inline void Axpy(double* out, const double* x, double a, std::size_t n) {
@@ -1048,17 +782,7 @@ inline void Axpy4(double* out, const double* x0, const double* x1,
 }
 
 inline double Dot4(const double* a, const double* b, std::size_t n) {
-#if GALE_SIMD_X86
-  switch (ActiveIsa()) {
-    case Isa::kAvx2:
-      return avx2::Dot4(a, b, n);
-    case Isa::kSse2:
-      return sse2::Dot4(a, b, n);
-    default:
-      break;
-  }
-#endif
-  return scalar::Dot4(a, b, n);
+  GALE_SIMD_DISPATCH(Dot4(a, b, n))
 }
 
 inline void Add(double* out, const double* a, const double* b,
@@ -1133,38 +857,23 @@ inline void AdamUpdate(double* p, double* m, double* v, const double* g,
       AdamUpdate(p, m, v, g, lr, beta1, beta2, bias1, bias2, eps, n))
 }
 
-// The register tiles have an AVX2 body only; SSE2 runs the scalar
-// reference, so the two-lane tier grows no new code (whether it pays for
-// itself at all is an open ROADMAP question).
-#if GALE_SIMD_X86
-#define GALE_SIMD_DISPATCH_AVX2(call) \
-  if (ActiveIsa() == Isa::kAvx2) {    \
-    avx2::call;                       \
-    return;                           \
-  }                                   \
-  scalar::call;
-#else
-#define GALE_SIMD_DISPATCH_AVX2(call) scalar::call;
-#endif
-
 inline void MatMulTile4x8(double* out, std::size_t ldo, const double* a,
                           std::size_t lda, const double* b, std::size_t ldb,
                           std::size_t k) {
-  GALE_SIMD_DISPATCH_AVX2(MatMulTile4x8(out, ldo, a, lda, b, ldb, k))
+  GALE_SIMD_DISPATCH(MatMulTile4x8(out, ldo, a, lda, b, ldb, k))
 }
 
 inline void DotTile2x4(double* out, std::size_t ldo, const double* a,
                        std::size_t lda, const double* b, std::size_t ldb,
                        std::size_t k) {
-  GALE_SIMD_DISPATCH_AVX2(DotTile2x4(out, ldo, a, lda, b, ldb, k))
+  GALE_SIMD_DISPATCH(DotTile2x4(out, ldo, a, lda, b, ldb, k))
 }
 
 inline void DistanceSquared8(double* out, const double* x, const double* panel,
                              std::size_t d) {
-  GALE_SIMD_DISPATCH_AVX2(DistanceSquared8(out, x, panel, d))
+  GALE_SIMD_DISPATCH(DistanceSquared8(out, x, panel, d))
 }
 
-#undef GALE_SIMD_DISPATCH_AVX2
 #undef GALE_SIMD_DISPATCH
 
 }  // namespace gale::la::simd

@@ -5,7 +5,7 @@
 //    one-object-per-line convention as the PR 3 GALE_BENCH_JSON_DIR bench
 //    records, so the same tooling (tools/bench_check.sh-style line
 //    parsers) consumes both:
-//      {"metric":"gale.core.selector.distance_cache_hits","type":"counter","value":12}
+//      {"metric":"gale.store.ppr_rows_reused","type":"counter","value":12}
 //      {"metric":"gale.core.selector.last_select_seconds","type":"gauge","value":1.5e-05}
 //      {"metric":"gale.core.iteration","type":"histogram","count":4,"sum_ns":48000,"buckets":[{"pow2":14,"n":4}]}
 //    Histogram buckets list only non-empty buckets; "pow2":b is the

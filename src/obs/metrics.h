@@ -8,7 +8,7 @@
 // exported files deterministic.
 //
 // Naming scheme: `gale.<module>.<name>` (DESIGN.md §9), e.g.
-// `gale.core.selector.distance_cache_hits`.
+// `gale.store.ppr_rows_reused`.
 //
 // Threading contract (same as la::Workspace, DESIGN.md §8): a Registry is
 // driver-thread state. Metrics are registered and updated on the thread

@@ -227,23 +227,24 @@ util::Result<void> ScoringSnapshot::FinishBuild(bool bake_influence) {
     return {};
   }
 
-  // Warm PPR pass: one blocked ComputeRows over the error-labeled nodes
-  // (ascending — the sum's accumulation order is fixed, so the baked
-  // vector is deterministic), collapsed into the influence vector.
-  std::vector<size_t> error_nodes;
-  for (size_t v = 0; v < n; ++v) {
-    if (example_labels_[v] == core::kLabelError) error_nodes.push_back(v);
-  }
-  error_influence_.assign(n, 0.0);
-  if (!error_nodes.empty()) {
-    prop::PprEngine engine(&walk_, prop::PprOptions{.alpha = ppr_alpha_});
-    engine.ComputeRows(error_nodes);
-    for (size_t u : error_nodes) {
-      const std::vector<double>& row = engine.Row(u);
-      for (size_t v = 0; v < n; ++v) error_influence_[v] += row[v];
-    }
-  }
+  prop::PprEngine engine(&walk_, prop::PprOptions{.alpha = ppr_alpha_});
+  error_influence_ = BakeErrorInfluence(engine, example_labels_);
   return {};
+}
+
+std::vector<double> BakeErrorInfluence(prop::PprEngine& engine,
+                                       const std::vector<int>& labels) {
+  std::vector<size_t> error_seeds;
+  for (size_t v = 0; v < labels.size(); ++v) {
+    if (labels[v] == core::kLabelError) error_seeds.push_back(v);
+  }
+  engine.ComputeRows(error_seeds);
+  std::vector<double> influence(labels.size(), 0.0);
+  for (size_t u : error_seeds) {
+    const std::vector<double>& row = engine.Row(u);
+    for (size_t v = 0; v < influence.size(); ++v) influence[v] += row[v];
+  }
+  return influence;
 }
 
 util::Status ScoringSnapshot::Save(const std::string& path) const {

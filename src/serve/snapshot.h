@@ -38,6 +38,7 @@
 #include "la/matrix.h"
 #include "la/sparse_matrix.h"
 #include "nn/sequential.h"
+#include "prop/ppr.h"
 #include "util/status.h"
 
 namespace gale::serve {
@@ -116,6 +117,16 @@ class ScoringSnapshot {
   std::vector<double> error_influence_;  // length n
   double ppr_alpha_ = 0.15;
 };
+
+// The PPR error-influence vector, influence[v] = Σ_{u labeled error}
+// P_u[v] (length labels.size(), which must equal the engine's node
+// count). One ComputeRows over the error-labeled nodes power-iterates only
+// the rows `engine` has not cached; the rows are then summed in ascending
+// seed order. Every PPR row is bitwise deterministic, so the vector is
+// the same bits whether its rows were warm or cold. The one bake behind
+// FromParts/FromResult and the store's incremental publish.
+std::vector<double> BakeErrorInfluence(prop::PprEngine& engine,
+                                       const std::vector<int>& labels);
 
 // Allocation-free fused forward over a snapshot. Owns persistent batch
 // buffers warmed at construction for batches up to `max_batch` rows;

@@ -419,29 +419,23 @@ util::Result<PublishedSnapshot> VersionedGraphStore::PublishSnapshot(
     engine_->EvictRows(retired_error_seeds_);
   }
 
-  // Warm influence bake: only the not-yet-cached seeds power-iterate
-  // (ComputeRows skips cache hits); the sum runs in ascending seed order
-  // with the exact loop FromParts' bake uses, so the vector is bitwise
-  // identical to a cold bake of the same graph.
-  std::vector<size_t> error_seeds;
-  for (size_t v = 0; v < n; ++v) {
-    if (labels_[v] == core::kLabelError) error_seeds.push_back(v);
-  }
+  // Warm influence bake: only the not-yet-cached seeds power-iterate, and
+  // serve::BakeErrorInfluence is the same bake FromParts runs, so the
+  // vector is bitwise identical to a cold bake of the same graph.
+  size_t seeds = 0;
   size_t reused = 0;
-  for (size_t s : error_seeds) {
-    if (engine_->IsCached(s)) ++reused;
+  for (size_t v = 0; v < n; ++v) {
+    if (labels_[v] != core::kLabelError) continue;
+    ++seeds;
+    if (engine_->IsCached(v)) ++reused;
   }
-  const size_t refreshed = error_seeds.size() - reused;
-  std::vector<double> influence(n, 0.0);
+  const size_t refreshed = seeds - reused;
+  std::vector<double> influence;
   {
     obs::Span ppr_span("gale.store.publish.ppr");
-    ppr_span.Arg("seeds", static_cast<double>(error_seeds.size()));
+    ppr_span.Arg("seeds", static_cast<double>(seeds));
     ppr_span.Arg("refreshed", static_cast<double>(refreshed));
-    engine_->ComputeRows(error_seeds);
-    for (size_t u : error_seeds) {
-      const std::vector<double>& row = engine_->Row(u);
-      for (size_t v = 0; v < n; ++v) influence[v] += row[v];
-    }
+    influence = serve::BakeErrorInfluence(*engine_, labels_);
   }
 
   obs::Span assemble_span("gale.store.publish.assemble");

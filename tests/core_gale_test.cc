@@ -9,6 +9,8 @@
 #include "eval/metrics.h"
 #include "graph/error_injector.h"
 #include "graph/synthetic_dataset.h"
+#include "util/parallel.h"
+#include "util/string_util.h"
 
 namespace gale::core {
 namespace {
@@ -242,8 +244,7 @@ TEST(GaleTest, TelemetryIsPopulated) {
     cumulative = it.cumulative_queries;
   }
   const SelectorTelemetry telemetry = r.selector_telemetry();
-  EXPECT_GT(telemetry.distance_cache_misses + telemetry.distance_cache_hits,
-            0u);
+  EXPECT_GT(telemetry.ppr_rows_computed, 0u);
   // The run's spans are all in the report, properly parented.
   EXPECT_GT(r.report.spans.size(), 0u);
   size_t run_spans = 0;
@@ -254,6 +255,63 @@ TEST(GaleTest, TelemetryIsPopulated) {
   }
   EXPECT_EQ(run_spans, 1u);
   EXPECT_EQ(iteration_spans, r.iterations().size());
+}
+
+// Records the order in which Gale::Run queries nodes.
+class RecordingOracle : public detect::GroundTruthOracle {
+ public:
+  using detect::GroundTruthOracle::GroundTruthOracle;
+  const std::vector<size_t>& queried() const { return queried_; }
+
+ protected:
+  detect::NodeLabel LabelImpl(size_t v) override {
+    queried_.push_back(v);
+    return detect::GroundTruthOracle::LabelImpl(v);
+  }
+
+ private:
+  std::vector<size_t> queried_;
+};
+
+TEST(GaleTest, GoldenQueries) {
+  // Pins the whole selection path across commits: every iteration's query
+  // list (in oracle order, with the per-iteration sizes) and the final
+  // probabilities of a memoized kGale run must keep their bits at 1 and 4
+  // threads. A change that only removes unused work must not move either
+  // hash; one that is meant to must re-record both and say why.
+  Fixture f = MakeFixture();
+  for (int threads : {1, 4}) {
+    util::ScopedParallelism parallelism(threads);
+    GaleConfig config = FastConfig(19);
+    config.selector.strategy = QueryStrategy::kGale;
+    config.selector.memoization = true;
+    Gale gale(&f.dirty, &f.library, &f.constraints, config);
+    RecordingOracle oracle(&f.truth);
+    auto result =
+        gale.Run(f.features.x_real, f.features.x_synthetic, oracle);
+    ASSERT_TRUE(result.ok());
+    const GaleResult& r = result.value();
+
+    std::string query_bytes;
+    for (const GaleIterationStats& it : r.iterations()) {
+      const uint64_t size = it.new_examples;
+      query_bytes.append(reinterpret_cast<const char*>(&size), sizeof(size));
+    }
+    for (size_t v : oracle.queried()) {
+      const uint64_t node = v;
+      query_bytes.append(reinterpret_cast<const char*>(&node), sizeof(node));
+    }
+    const std::string prob_bytes(
+        reinterpret_cast<const char*>(r.probabilities.data().data()),
+        r.probabilities.size() * sizeof(double));
+    const uint64_t queries_hash = util::Fnv1aHash(query_bytes);
+    const uint64_t probs_hash = util::Fnv1aHash(prob_bytes);
+    EXPECT_EQ(queries_hash, 0xd1edd5a66582e11eULL)
+        << std::hex << threads << " threads: queries hash 0x" << queries_hash;
+    EXPECT_EQ(probs_hash, 0xac8d674d30088436ULL)
+        << std::hex << threads << " threads: probabilities hash 0x"
+        << probs_hash;
+  }
 }
 
 }  // namespace

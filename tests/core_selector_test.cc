@@ -170,37 +170,11 @@ TEST(QuerySelectorTest, GreedyPrefixTypicalityIsRecorded) {
   }
 }
 
-TEST(QuerySelectorTest, MemoizationCachesDistancesAcrossIterations) {
-  Fixture f = MakeFixture();
-  QuerySelector selector(&f.walk, Options(QueryStrategy::kGale, true));
-  ASSERT_TRUE(selector.Select(f.embeddings, f.labels, f.probs, 5).ok());
-  const size_t misses_first = selector.telemetry().distance_cache_misses;
-  EXPECT_EQ(selector.telemetry().distance_cache_hits, 0u);
-  // Same embeddings again: previously computed pairs come from the cache
-  // (fresh pairs can still appear — the greedy path varies per round).
-  ASSERT_TRUE(selector.Select(f.embeddings, f.labels, f.probs, 5).ok());
-  EXPECT_GT(selector.telemetry().distance_cache_hits, 0u);
-  EXPECT_LE(selector.telemetry().distance_cache_misses, 2 * misses_first);
-  EXPECT_GT(selector.telemetry().nodes_unchanged, 0u);
-}
-
-TEST(QuerySelectorTest, MemoizationInvalidatesOnEmbeddingChange) {
-  Fixture f = MakeFixture();
-  QuerySelector selector(&f.walk, Options(QueryStrategy::kGale, true));
-  ASSERT_TRUE(selector.Select(f.embeddings, f.labels, f.probs, 5).ok());
-  la::Matrix moved = f.embeddings;
-  for (double& v : moved.data()) v += 1.0;  // everything moved
-  ASSERT_TRUE(selector.Select(moved, f.labels, f.probs, 5).ok());
-  EXPECT_EQ(selector.telemetry().distance_cache_hits, 0u)
-      << "changed embeddings must not serve stale distances";
-}
-
 TEST(QuerySelectorTest, UGaleModeNeverCaches) {
   Fixture f = MakeFixture();
   QuerySelector selector(&f.walk, Options(QueryStrategy::kGale, false));
   ASSERT_TRUE(selector.Select(f.embeddings, f.labels, f.probs, 5).ok());
   ASSERT_TRUE(selector.Select(f.embeddings, f.labels, f.probs, 5).ok());
-  EXPECT_EQ(selector.telemetry().distance_cache_hits, 0u);
   EXPECT_EQ(selector.ppr().num_cached_rows(), 0u);
 }
 

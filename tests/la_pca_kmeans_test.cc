@@ -232,9 +232,8 @@ TEST(KMeansTest, LanePanelsMatchRowDistanceReference) {
   // on the detect workload. k = 7 and 8 end on a partial and a full lane
   // panel, k = 40 spans five panels.
   std::vector<la::simd::Isa> isas = {la::simd::Isa::kScalar};
-  if (la::simd::Compiled()) {
-    isas.push_back(la::simd::Isa::kSse2);
-    isas.push_back(la::simd::BestSupportedIsa());
+  if (la::simd::BestSupportedIsa() == la::simd::Isa::kAvx2) {
+    isas.push_back(la::simd::Isa::kAvx2);
   }
   for (const auto& [n, d] : {std::pair<size_t, size_t>{600, 5}, {2500, 24}}) {
     util::Rng data_rng(n + d);

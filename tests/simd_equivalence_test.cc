@@ -34,18 +34,11 @@ using la::simd::Isa;
 constexpr int kThreadCounts[] = {1, 4};
 constexpr double kPoison = -777.25;  // exactly representable
 
-// Every ISA worth pinning on this machine: scalar always, plus whatever
-// the runtime guard admits (ScopedIsaOverride degrades unsupported
-// requests, so listing avx2 on an sse2-only box just re-tests sse2 —
-// harmless, never wrong).
+// Every ISA worth pinning on this machine: scalar always, plus AVX2 when
+// the build carries it and the runtime guard admits it.
 std::vector<Isa> IsasUnderTest() {
   std::vector<Isa> isas = {Isa::kScalar};
-  if (la::simd::Compiled()) {
-    isas.push_back(Isa::kSse2);
-    if (la::simd::BestSupportedIsa() == Isa::kAvx2) {
-      isas.push_back(Isa::kAvx2);
-    }
-  }
+  if (la::simd::BestSupportedIsa() == Isa::kAvx2) isas.push_back(Isa::kAvx2);
   return isas;
 }
 

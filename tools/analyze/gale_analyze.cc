@@ -1,11 +1,9 @@
 // gale_analyze — multi-pass, multi-TU static analyzer for the GALE tree.
 //
-// The successor to the single-TU gale_lint (which now runs on the same
-// library and keeps its CLI): token-level single-file rules, a cross-TU
-// include-graph pass enforcing the module layering DAG, a parallel scan
-// with an incremental cache, and text or SARIF output. See rules.h for
-// the rule catalog and annotations.h for the exact allow() suppression
-// scope.
+// Token-level single-file rules, a cross-TU include-graph pass enforcing
+// the module layering DAG, a parallel scan with an incremental cache, and
+// text or SARIF output. See rules.h for the rule catalog and
+// annotations.h for the exact allow() suppression scope.
 //
 // Usage:
 //   gale_analyze [options] <repo_root>
@@ -88,8 +86,7 @@ int main(int argc, char** argv) {
   }
 
   if (self_test) {
-    const int failures =
-        gale::analyze::RunSelfTest(std::cout, "gale_analyze");
+    const int failures = gale::analyze::RunSelfTest(std::cout);
     return failures == 0 ? 0 : 1;
   }
   if (list_rules) {

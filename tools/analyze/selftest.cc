@@ -639,7 +639,7 @@ int n = 1'000'000;  // digit separators lex as one number
 
 }  // namespace
 
-int RunSelfTest(std::ostream& out, const char* tool_name) {
+int RunSelfTest(std::ostream& out) {
   int failures = 0;
   for (const Fixture& fx : Fixtures()) {
     std::vector<std::pair<std::string, std::string>> files;
@@ -664,7 +664,7 @@ int RunSelfTest(std::ostream& out, const char* tool_name) {
       out << "ok   " << fx.name << "\n";
     }
   }
-  out << tool_name << " self-test: " << Fixtures().size() << " fixtures, "
+  out << "gale_analyze self-test: " << Fixtures().size() << " fixtures, "
       << failures << " failure(s)\n";
   return failures;
 }

@@ -2,7 +2,7 @@
 // exactly N times) and a known-good twin (must not trigger), plus
 // suppression-scope and annotation-hygiene cases, plus multi-file
 // fixtures for the cross-TU include-graph rules. Registered with ctest
-// as gale_analyze_selftest / gale_lint_selftest.
+// as gale_analyze_selftest.
 
 #ifndef GALE_TOOLS_ANALYZE_SELFTEST_H_
 #define GALE_TOOLS_ANALYZE_SELFTEST_H_
@@ -11,9 +11,9 @@
 
 namespace gale::analyze {
 
-// Runs every fixture, reporting to `out` with `tool_name` in the summary
-// line. Returns the number of failing fixtures (0 = pass).
-int RunSelfTest(std::ostream& out, const char* tool_name);
+// Runs every fixture, reporting to `out`. Returns the number of failing
+// fixtures (0 = pass).
+int RunSelfTest(std::ostream& out);
 
 }  // namespace gale::analyze
 

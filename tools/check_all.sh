@@ -5,7 +5,6 @@
 #   tools/check_all.sh [stage...]
 #
 # Stages (default: all of them, in this order):
-#   lint    gale_lint over the tree + its self-test
 #   analyze gale_analyze: rule self-test, clean cold scan, then a
 #           warm-cache rerun that must re-tokenize zero files and emit a
 #           byte-identical report at 1 and 4 threads; SARIF must parse
@@ -40,7 +39,7 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then
-  stages=(lint analyze werror asan ubsan tsan simdoff serve store)
+  stages=(analyze werror asan ubsan tsan simdoff serve store)
 fi
 jobs="$(nproc)"
 
@@ -51,7 +50,7 @@ run_stage() {
 
 configure_and_test() {
   # configure_and_test <build-dir> <cmake-args...>: fresh configure, full
-  # build, full suite (gale_lint and the *_mt4 entries included).
+  # build, full suite (the gale_analyze and *_mt4 entries included).
   local build_dir="$1"
   shift
   cmake -B "${build_dir}" -S "${repo_root}" "$@"
@@ -61,14 +60,6 @@ configure_and_test() {
 
 for stage in "${stages[@]}"; do
   case "${stage}" in
-    lint)
-      run_stage "gale_lint (static analysis + self-test)"
-      build_dir="${repo_root}/build-lint"
-      cmake -B "${build_dir}" -S "${repo_root}" >/dev/null
-      cmake --build "${build_dir}" -j "${jobs}" --target gale_lint
-      "${build_dir}/tools/gale_lint" --self-test
-      "${build_dir}/tools/gale_lint" "${repo_root}"
-      ;;
     analyze)
       run_stage "gale_analyze (incremental scan + include graph + SARIF)"
       build_dir="${repo_root}/build-lint"
@@ -210,8 +201,8 @@ for stage in "${stages[@]}"; do
       ;;
     *)
       echo "check_all: unknown stage '${stage}'" >&2
-      echo "stages: lint analyze werror asan ubsan tsan simdoff serve" \
-           "store bench" >&2
+      echo "stages: analyze werror asan ubsan tsan simdoff serve store" \
+           "bench" >&2
       exit 2
       ;;
   esac
