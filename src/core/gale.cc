@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "obs/export.h"
-#include "prop/label_propagation.h"
 #include "util/logging.h"
 
 namespace gale::core {
@@ -85,103 +84,77 @@ util::Result<GaleResult> Gale::Run(const la::Matrix& x_real,
   Annotator annotator(graph_, library_, constraints_, &selector.ppr());
   Sgan sgan(x_real.cols(), config_.sgan);
 
-  // Soft labels for annotation context; refreshed per round.
-  auto soft_labels_now = [&]() -> std::vector<int> {
-    bool have_seeds = false;
-    for (int l : labels) {
-      if (l != kUnlabeled) {
-        have_seeds = true;
-        break;
-      }
-    }
-    if (!have_seeds) return std::vector<int>(n, kUnlabeled);
-    util::Result<la::Matrix> soft =
-        prop::PropagateLabels(walk_matrix_, labels, 2);
-    if (!soft.ok()) return std::vector<int>(n, kUnlabeled);
-    return prop::HardLabels(soft.value(), kUnlabeled);
-  };
-
   {
     obs::Span run_span("gale.core.run");
 
-    // --- cold start: Q^0 on the raw features, no class probabilities,
-    // followed by the initial SGAN training — together they are
-    // iteration 0 of the cost accounting ---
-    {
-      obs::Span iter_span("gale.core.iteration");
-      iter_span.Arg("iteration", 0.0);
-      util::Result<std::vector<size_t>> queries =
-          selector.Select(x_real, labels, la::Matrix(), config_.local_budget);
-      if (!queries.ok()) return queries.status();
-      if (config_.annotate_queries) {
-        result.last_annotations = annotator.AnnotateAll(
-            queries.value(), labels, soft_labels_now());
-      }
-      for (size_t q : queries.value()) {
-        labels[q] = oracle.Label(q) == detect::NodeLabel::kError
-                        ? kLabelError
-                        : kLabelCorrect;
-      }
-      iter_span.Arg("new_examples",
-                    static_cast<double>(queries.value().size()));
-      iter_span.Arg("cumulative_queries",
-                    static_cast<double>(oracle.num_queries()));
-      {
-        obs::Span train_span("gale.core.train");
-        GALE_RETURN_IF_ERROR(
-            sgan.Train(x_real, labels, x_synthetic, inputs.val_labels));
-      }
-    }
-
-    // --- iterative improvement ---
-    for (int i = 1; i < config_.iterations; ++i) {
+    // Fig. 3: select -> annotate -> label -> train, T rounds. Round 0 is
+    // the cold start: there is no classifier yet, so Q^0 is chosen on the
+    // raw features X_R without class probabilities, and training is the
+    // full SGAN. Later rounds select on D's embeddings and refresh D with
+    // SGAND.
+    for (int i = 0; i < config_.iterations; ++i) {
       obs::Span iter_span("gale.core.iteration");
       iter_span.Arg("iteration", static_cast<double>(i));
 
-      const SganPrediction prediction = sgan.Predict(x_real);
-
-      util::Result<std::vector<size_t>> queries =
-          selector.Select(prediction.embeddings, labels,
-                          prediction.probabilities, config_.local_budget);
-      if (!queries.ok()) {
-        if (queries.status().code() ==
-            util::StatusCode::kFailedPrecondition) {
-          break;  // everything is labeled — nothing left to query; the
-                  // aborted iteration span carries no "new_examples" arg
-                  // and is skipped by IterationStatsFromReport.
+      // D's outputs are needed only to select (none at the cold start), so
+      // they are freed before training.
+      util::Result<std::vector<size_t>> selected = [&] {
+        if (i == 0) {
+          return selector.Select(x_real, labels, la::Matrix(),
+                                 config_.local_budget);
         }
-        return queries.status();
+        const SganPrediction prediction = sgan.Predict(x_real);
+        return selector.Select(prediction.embeddings, labels,
+                               prediction.probabilities, config_.local_budget);
+      }();
+      if (!selected.ok()) {
+        // kFailedPrecondition: everything is labeled, nothing is left to
+        // query. That is an error at the cold start and ends the run
+        // later; the aborted iteration span carries no "new_examples" arg
+        // and is skipped by IterationStatsFromReport.
+        if (i > 0 && selected.status().code() ==
+                         util::StatusCode::kFailedPrecondition) {
+          break;
+        }
+        return selected.status();
       }
+      const std::vector<size_t>& queries = selected.value();
 
       if (config_.annotate_queries) {
         result.last_annotations = annotator.AnnotateAll(
-            queries.value(), labels, soft_labels_now());
+            queries, labels, selector.soft_labels());
       }
 
       // Line 10-11: V_T^i = sample(V_T, η) ∪ O(Q̃^i) — the fresh queries
       // always participate; the backlog is subsampled so new knowledge
       // weighs more in the incremental update.
       std::vector<int> update_labels(n, kUnlabeled);
-      for (size_t v = 0; v < n; ++v) {
-        if (labels[v] != kUnlabeled && rng.Bernoulli(config_.sample_eta)) {
-          update_labels[v] = labels[v];
+      if (i > 0) {
+        for (size_t v = 0; v < n; ++v) {
+          if (labels[v] != kUnlabeled && rng.Bernoulli(config_.sample_eta)) {
+            update_labels[v] = labels[v];
+          }
         }
       }
-      for (size_t q : queries.value()) {
+      for (size_t q : queries) {
         const int answer = oracle.Label(q) == detect::NodeLabel::kError
                                ? kLabelError
                                : kLabelCorrect;
         labels[q] = answer;
         update_labels[q] = answer;
       }
-      iter_span.Arg("new_examples",
-                    static_cast<double>(queries.value().size()));
+      iter_span.Arg("new_examples", static_cast<double>(queries.size()));
       iter_span.Arg("cumulative_queries",
                     static_cast<double>(oracle.num_queries()));
 
       {
         obs::Span train_span("gale.core.train");
-        GALE_RETURN_IF_ERROR(sgan.Update(x_real, update_labels, x_synthetic));
+        if (i == 0) {
+          GALE_RETURN_IF_ERROR(
+              sgan.Train(x_real, labels, x_synthetic, inputs.val_labels));
+        } else {
+          GALE_RETURN_IF_ERROR(sgan.Update(x_real, update_labels, x_synthetic));
+        }
       }
     }
 

@@ -10,6 +10,10 @@
 //         D^i := SGAND(G, V_T^i, X_R, X_S);  update M and H_n
 //   5.  return M
 //
+// Run() executes steps 1 and 3 as iteration 0 of the same loop body as
+// step 4: no η-sample, selection on X_R instead of H_n, SGAN instead of
+// SGAND.
+//
 // The driver can be "interrupted" at any iteration: per-iteration
 // predictions are recorded, and Run() returns the full telemetry used by
 // the learning-cost experiments (Fig. 7(d)-(f)).

@@ -145,6 +145,19 @@ util::Result<std::vector<size_t>> QuerySelector::Select(
   }
   k = std::min(k, unlabeled.size());
 
+  // Soft labels L_s via label propagation from the current examples: the
+  // annotator's context for every strategy, and the clusT sets of kGale.
+  soft_labels_.assign(example_labels.size(), kUnlabeled);
+  if (std::any_of(example_labels.begin(), example_labels.end(), [](int l) {
+        return l == kLabelError || l == kLabelCorrect;
+      })) {
+    util::Result<la::Matrix> soft = prop::PropagateLabels(
+        *walk_matrix_, example_labels, 2,
+        prop::LabelPropagationOptions{.alpha = options_.ppr_alpha});
+    if (!soft.ok()) return soft.status();
+    soft_labels_ = prop::HardLabels(soft.value(), kUnlabeled);
+  }
+
   util::Result<std::vector<size_t>> result = [&]()
       -> util::Result<std::vector<size_t>> {
     switch (options_.strategy) {
@@ -155,8 +168,7 @@ util::Result<std::vector<size_t>> QuerySelector::Select(
       case QueryStrategy::kKmeans:
         return SelectKmeans(unlabeled, embeddings, k);
       case QueryStrategy::kGale:
-        return SelectGale(unlabeled, embeddings, example_labels, class_probs,
-                          k);
+        return SelectGale(unlabeled, embeddings, class_probs, k);
     }
     return util::Status::Internal("unknown strategy");
   }();
@@ -239,36 +251,13 @@ util::Result<std::vector<size_t>> QuerySelector::SelectKmeans(
 
 util::Result<std::vector<size_t>> QuerySelector::SelectGale(
     const std::vector<size_t>& unlabeled, const la::Matrix& embeddings,
-    const std::vector<int>& example_labels, const la::Matrix& class_probs,
-    size_t k) {
-  // Soft labels Ls via label propagation from the current examples.
-  std::vector<int> soft_labels(embeddings.rows(), kUnlabeled);
-  {
-    bool have_seeds = false;
-    for (int l : example_labels) {
-      if (l == kLabelError || l == kLabelCorrect) {
-        have_seeds = true;
-        break;
-      }
-    }
-    if (have_seeds) {
-      util::Result<la::Matrix> soft = prop::PropagateLabels(
-          *walk_matrix_, example_labels, 2,
-          prop::LabelPropagationOptions{.alpha = options_.ppr_alpha});
-      if (!soft.ok()) return soft.status();
-      soft_labels = prop::HardLabels(soft.value(), kUnlabeled);
-    }
-  }
-
-  // Discriminator predictions define the class sets C_l.
-  std::vector<int> predicted(embeddings.rows(), kUnlabeled);
-  if (class_probs.rows() == embeddings.rows() && class_probs.cols() >= 2) {
-    for (size_t v = 0; v < embeddings.rows(); ++v) {
-      predicted[v] = class_probs.At(v, 0) >= class_probs.At(v, 1)
-                         ? kLabelError
-                         : kLabelCorrect;
-    }
-  }
+    const la::Matrix& class_probs, size_t k) {
+  // Discriminator predictions define the class sets C_l (none on cold
+  // start).
+  const std::vector<int> predicted =
+      class_probs.rows() == embeddings.rows() && class_probs.cols() >= 2
+          ? LabelsFromProbabilities(class_probs)
+          : std::vector<int>(embeddings.rows(), kUnlabeled);
 
   TypicalityOptions typ;
   typ.use_topological = options_.use_topological_typicality;
@@ -279,7 +268,7 @@ util::Result<std::vector<size_t>> QuerySelector::SelectGale(
   typ.max_class_samples = options_.max_class_samples;
   typ.seed = rng_.Next();
   util::Result<TypicalityResult> typicality = ComputeTypicality(
-      embeddings, unlabeled, predicted, soft_labels, ppr_, typ);
+      embeddings, unlabeled, predicted, soft_labels_, ppr_, typ);
   if (!typicality.ok()) return typicality.status();
   const std::vector<double>& t_scores = typicality.value().typicality;
 

@@ -132,7 +132,7 @@ class QuerySelector {
   //    the cold-start call);
   //  * `example_labels` — per node: kLabelError/kLabelCorrect for current
   //    examples V_T, kUnlabeled otherwise (labeled nodes are excluded from
-  //    the candidate pool and seed label propagation);
+  //    the candidate pool and seed the label propagation of soft_labels());
   //  * `class_probs` — n x 2 discriminator probabilities; pass an empty
   //    matrix on cold start (entropy falls back to random, topoT to 1).
   util::Result<std::vector<size_t>> Select(const la::Matrix& embeddings,
@@ -144,6 +144,11 @@ class QuerySelector {
   SelectorTelemetry telemetry() const {
     return SelectorTelemetryFromReport(obs::Snapshot(registry_, nullptr));
   }
+  // L_s of the last Select that got to selecting (k > 0 and some node
+  // unlabeled): label propagation from its example labels at `ppr_alpha`,
+  // hardened to kLabelError/kLabelCorrect; kUnlabeled where no example
+  // reaches (everywhere when there is no example yet).
+  const std::vector<int>& soft_labels() const { return soft_labels_; }
   prop::PprEngine& ppr() { return ppr_; }
   const QuerySelectorOptions& options() const { return options_; }
 
@@ -157,13 +162,13 @@ class QuerySelector {
       size_t k);
   util::Result<std::vector<size_t>> SelectGale(
       const std::vector<size_t>& unlabeled, const la::Matrix& embeddings,
-      const std::vector<int>& example_labels, const la::Matrix& class_probs,
-      size_t k);
+      const la::Matrix& class_probs, size_t k);
 
   const la::SparseMatrix* walk_matrix_;
   QuerySelectorOptions options_;
   util::Rng rng_;
   prop::PprEngine ppr_;
+  std::vector<int> soft_labels_;
 
   // Metric sinks: `registry_` is the ambient registry at construction or
   // `own_registry_`; the handles below are stable pointers into it

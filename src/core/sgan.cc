@@ -41,12 +41,8 @@ void VStack3Into(const la::Matrix& a, const la::Matrix& b, const la::Matrix& c,
 la::Matrix ProbabilitiesFromLogits(const la::Matrix& logits) {
   la::Matrix probs(logits.rows(), 2);
   for (size_t r = 0; r < logits.rows(); ++r) {
-    const double* l = logits.RowPtr(r);
-    const double m = std::max(l[kLabelError], l[kLabelCorrect]);
-    const double pe = std::exp(l[kLabelError] - m);
-    const double pc = std::exp(l[kLabelCorrect] - m);
-    probs.At(r, 0) = pe / (pe + pc);
-    probs.At(r, 1) = pc / (pe + pc);
+    ErrorCorrectProbabilities(logits.RowPtr(r), &probs.At(r, 0),
+                              &probs.At(r, 1));
     // D's conditional output P(error|x), P(correct|x) must lie on the
     // probability simplex; the 3-way softmax inside the losses carries the
     // same contract (see nn::Softmax).
@@ -57,6 +53,15 @@ la::Matrix ProbabilitiesFromLogits(const la::Matrix& logits) {
 }
 
 }  // namespace
+
+void ErrorCorrectProbabilities(const double* logits, double* p_error,
+                               double* p_correct) {
+  const double m = std::max(logits[kLabelError], logits[kLabelCorrect]);
+  const double pe = std::exp(logits[kLabelError] - m);
+  const double pc = std::exp(logits[kLabelCorrect] - m);
+  *p_error = pe / (pe + pc);
+  *p_correct = pc / (pe + pc);
+}
 
 std::vector<int> LabelsFromProbabilities(const la::Matrix& probabilities) {
   std::vector<int> out(probabilities.rows());
@@ -386,11 +391,6 @@ la::Matrix Sgan::PredictProbabilities(const la::Matrix& x) {
 
 std::vector<int> Sgan::PredictLabels(const la::Matrix& x) {
   return LabelsFromProbabilities(PredictProbabilities(x));
-}
-
-la::Matrix Sgan::Embeddings(const la::Matrix& x) {
-  GALE_CHECK_EQ(x.cols(), feature_dim_);
-  return discriminator_.ForwardUpTo(x, embed_layer_index_);
 }
 
 SganPrediction Sgan::Predict(const la::Matrix& x) {

@@ -90,8 +90,15 @@ struct SganConfig {
 // D's eval-mode outputs from one forward pass (Sgan::Predict).
 struct SganPrediction {
   la::Matrix probabilities;  // as PredictProbabilities
-  la::Matrix embeddings;     // as Embeddings
+  la::Matrix embeddings;     // H_n(x): D's penultimate activations
 };
+
+// P(error), P(correct) from one row of D's logits: the first two
+// renormalized (max-shifted exp, then divide). The one definition of the
+// classifier M's output, shared by PredictProbabilities and the serving
+// scorer so both produce the same bits.
+void ErrorCorrectProbabilities(const double* logits, double* p_error,
+                               double* p_correct);
 
 // kLabelError / kLabelCorrect per row of PredictProbabilities' output
 // (ties go to error).
@@ -129,11 +136,8 @@ class Sgan {
   // kLabelError / kLabelCorrect per row.
   std::vector<int> PredictLabels(const la::Matrix& x);
 
-  // H_n(x): D's penultimate-layer activations (eval mode).
-  la::Matrix Embeddings(const la::Matrix& x);
-
-  // PredictProbabilities and Embeddings from a single eval forward; the
-  // same bits as the two calls.
+  // PredictProbabilities and the embeddings H_n(x) (D's penultimate-layer
+  // activations, eval mode) from a single eval forward.
   SganPrediction Predict(const la::Matrix& x);
 
   // Fake representations G produces from synthetic features (eval mode).

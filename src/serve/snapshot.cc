@@ -1,7 +1,5 @@
 #include "serve/snapshot.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -427,14 +425,10 @@ void SnapshotScorer::ScoreInto(const std::vector<size_t>& nodes,
   const la::Matrix& logits = forward_.Forward(input_, /*training=*/false);
   const std::vector<double>& influence = snapshot_->error_influence();
   for (size_t i = 0; i < nodes.size(); ++i) {
-    // Exactly Sgan::PredictProbabilities' renormalization of logits 0/1
-    // (same max/exp/divide order, so the scores mirror the run bitwise).
-    const double* l = logits.RowPtr(i);
-    const double m = std::max(l[core::kLabelError], l[core::kLabelCorrect]);
-    const double pe = std::exp(l[core::kLabelError] - m);
-    const double pc = std::exp(l[core::kLabelCorrect] - m);
-    out[i].p_error = pe / (pe + pc);
-    out[i].p_correct = pc / (pe + pc);
+    // Sgan::PredictProbabilities' renormalization of logits 0/1, so the
+    // scores mirror the run bitwise.
+    core::ErrorCorrectProbabilities(logits.RowPtr(i), &out[i].p_error,
+                                    &out[i].p_correct);
     out[i].error_influence = influence[nodes[i]];
   }
 }

@@ -275,16 +275,18 @@ class RecordingOracle : public detect::GroundTruthOracle {
 
 TEST(GaleTest, GoldenQueries) {
   // Pins the whole selection path across commits: every iteration's query
-  // list (in oracle order, with the per-iteration sizes) and the final
-  // probabilities of a memoized kGale run must keep their bits at 1 and 4
-  // threads. A change that only removes unused work must not move either
-  // hash; one that is meant to must re-record both and say why.
+  // list (in oracle order, with the per-iteration sizes), the final
+  // probabilities and the last round's annotations of a memoized kGale run
+  // must keep their bits at 1 and 4 threads. A change that only removes
+  // unused work must not move any hash; one that is meant to must
+  // re-record them and say why.
   Fixture f = MakeFixture();
   for (int threads : {1, 4}) {
     util::ScopedParallelism parallelism(threads);
     GaleConfig config = FastConfig(19);
     config.selector.strategy = QueryStrategy::kGale;
     config.selector.memoization = true;
+    config.annotate_queries = true;
     Gale gale(&f.dirty, &f.library, &f.constraints, config);
     RecordingOracle oracle(&f.truth);
     auto result =
@@ -304,14 +306,88 @@ TEST(GaleTest, GoldenQueries) {
     const std::string prob_bytes(
         reinterpret_cast<const char*>(r.probabilities.data().data()),
         r.probabilities.size() * sizeof(double));
+    // The soft subgraph (node, influence bytes, soft label L_s) of each
+    // annotation, then its rendered text.
+    std::string annotation_bytes;
+    for (const Annotation& a : r.last_annotations) {
+      const uint64_t node = a.node;
+      annotation_bytes.append(reinterpret_cast<const char*>(&node),
+                              sizeof(node));
+      for (const SoftSubgraphEntry& e : a.soft_subgraph) {
+        const uint64_t member = e.node;
+        const int64_t soft_label = e.soft_label;
+        annotation_bytes.append(reinterpret_cast<const char*>(&member),
+                                sizeof(member));
+        annotation_bytes.append(reinterpret_cast<const char*>(&e.influence),
+                                sizeof(e.influence));
+        annotation_bytes.append(reinterpret_cast<const char*>(&soft_label),
+                                sizeof(soft_label));
+      }
+      annotation_bytes += a.DebugString(f.dirty);
+    }
     const uint64_t queries_hash = util::Fnv1aHash(query_bytes);
     const uint64_t probs_hash = util::Fnv1aHash(prob_bytes);
+    const uint64_t annotations_hash = util::Fnv1aHash(annotation_bytes);
+    ASSERT_EQ(r.last_annotations.size(), config.local_budget);
     EXPECT_EQ(queries_hash, 0xd1edd5a66582e11eULL)
         << std::hex << threads << " threads: queries hash 0x" << queries_hash;
     EXPECT_EQ(probs_hash, 0xac8d674d30088436ULL)
         << std::hex << threads << " threads: probabilities hash 0x"
         << probs_hash;
+    EXPECT_EQ(annotations_hash, 0x4a115b3543fccc14ULL)
+        << std::hex << threads << " threads: annotations hash 0x"
+        << annotations_hash;
   }
+}
+
+TEST(GaleTest, GoldenWarmStartQueries) {
+  // A warm start has examples at iteration 0, so this pins that the first
+  // round makes no η-sampling draws: one extra Bernoulli draw there would
+  // shift every later round's V_T sample and move the queries.
+  Fixture f = MakeFixture();
+  GaleRunInputs inputs;
+  inputs.initial_labels.assign(f.dirty.num_nodes(), kUnlabeled);
+  for (size_t v = 0; v < f.dirty.num_nodes(); v += 35) {
+    inputs.initial_labels[v] =
+        f.truth.is_error[v] ? kLabelError : kLabelCorrect;
+  }
+  for (int threads : {1, 4}) {
+    util::ScopedParallelism parallelism(threads);
+    Gale gale(&f.dirty, &f.library, &f.constraints, FastConfig(29));
+    RecordingOracle oracle(&f.truth);
+    auto result = gale.Run(f.features.x_real, f.features.x_synthetic, oracle,
+                           inputs);
+    ASSERT_TRUE(result.ok());
+    std::string query_bytes;
+    for (size_t v : oracle.queried()) {
+      const uint64_t node = v;
+      query_bytes.append(reinterpret_cast<const char*>(&node), sizeof(node));
+    }
+    const uint64_t queries_hash = util::Fnv1aHash(query_bytes);
+    EXPECT_EQ(queries_hash, 0x91aecda1b8fe0756ULL)
+        << std::hex << threads << " threads: queries hash 0x" << queries_hash;
+  }
+}
+
+TEST(GaleTest, AllLabeledColdStartIsFailedPrecondition) {
+  // Iteration 0 has nothing to query when every node is already labeled:
+  // Run reports it as an error (later rounds stop quietly instead), and
+  // the oracle is never asked.
+  Fixture f = MakeFixture();
+  Gale gale(&f.dirty, &f.library, &f.constraints, FastConfig(23));
+  RecordingOracle oracle(&f.truth);
+  GaleRunInputs inputs;
+  inputs.initial_labels.resize(f.dirty.num_nodes());
+  for (size_t v = 0; v < f.dirty.num_nodes(); ++v) {
+    inputs.initial_labels[v] =
+        f.truth.is_error[v] ? kLabelError : kLabelCorrect;
+  }
+  auto result = gale.Run(f.features.x_real, f.features.x_synthetic, oracle,
+                         inputs);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(oracle.num_queries(), 0u);
+  EXPECT_TRUE(oracle.queried().empty());
 }
 
 }  // namespace

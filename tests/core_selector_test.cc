@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/sgan.h"
+#include "prop/label_propagation.h"
 
 namespace gale::core {
 namespace {
@@ -107,6 +108,55 @@ INSTANTIATE_TEST_SUITE_P(Strategies, AllStrategiesTest,
                                            QueryStrategy::kRandom,
                                            QueryStrategy::kEntropy,
                                            QueryStrategy::kKmeans));
+
+// soft_labels() is the annotator's L_s whatever the strategy: label
+// propagation from the examples of the last Select at the selector's
+// ppr_alpha, and all kUnlabeled while there is no example.
+class SoftLabelsTest : public ::testing::TestWithParam<QueryStrategy> {};
+
+TEST_P(SoftLabelsTest, PropagatesTheExamplesAtPprAlpha) {
+  Fixture f = MakeFixture();
+  QuerySelectorOptions options = Options(GetParam());
+  options.ppr_alpha = 0.3;
+  QuerySelector selector(&f.walk, options);
+  const std::vector<int> none(30, kUnlabeled);
+
+  ASSERT_TRUE(selector.Select(f.embeddings, f.labels, f.probs, 3).ok());
+  EXPECT_EQ(selector.soft_labels(), none);
+
+  // Seeds in the first two blobs; the third ring is reachable from none.
+  // Node 6 sits between the two error seeds {0, 1} and the correct seed 3
+  // on the first ring: it is an error at the default alpha 0.15 and
+  // correct at 0.3, so the check sees which alpha the selector used.
+  f.labels[0] = kLabelError;
+  f.labels[1] = kLabelError;
+  f.labels[3] = kLabelCorrect;
+  f.labels[12] = kLabelCorrect;
+  ASSERT_TRUE(selector.Select(f.embeddings, f.labels, f.probs, 3).ok());
+  const util::Result<la::Matrix> soft = prop::PropagateLabels(
+      f.walk, f.labels, 2, prop::LabelPropagationOptions{.alpha = 0.3});
+  ASSERT_TRUE(soft.ok());
+  const std::vector<int> expected =
+      prop::HardLabels(soft.value(), kUnlabeled);
+  EXPECT_EQ(selector.soft_labels(), expected);
+  EXPECT_EQ(expected[6], kLabelCorrect);
+  EXPECT_EQ(prop::HardLabels(
+                prop::PropagateLabels(f.walk, f.labels, 2).value(),
+                kUnlabeled)[6],
+            kLabelError);
+  EXPECT_EQ(expected[9], kLabelError);
+  EXPECT_EQ(expected[15], kLabelCorrect);
+  EXPECT_EQ(expected[25], kUnlabeled);
+
+  // Dropping the examples resets L_s rather than keeping the last round's.
+  f.labels.assign(30, kUnlabeled);
+  ASSERT_TRUE(selector.Select(f.embeddings, f.labels, f.probs, 3).ok());
+  EXPECT_EQ(selector.soft_labels(), none);
+}
+
+INSTANTIATE_TEST_SUITE_P(Strategies, SoftLabelsTest,
+                         ::testing::Values(QueryStrategy::kGale,
+                                           QueryStrategy::kRandom));
 
 TEST(QuerySelectorTest, EntropyPicksMostUncertainNodes) {
   Fixture f = MakeFixture();

@@ -113,7 +113,7 @@ TEST(SganTest, EmbeddingsHaveConfiguredWidthAndSeparateClasses) {
   SganConfig config = FastConfig(7);
   Sgan sgan(data.x_real.cols(), config);
   ASSERT_TRUE(sgan.Train(data.x_real, data.labels, data.x_synthetic).ok());
-  la::Matrix h = sgan.Embeddings(data.x_real);
+  la::Matrix h = sgan.Predict(data.x_real).embeddings;
   EXPECT_EQ(h.rows(), 300u);
   EXPECT_EQ(h.cols(), config.embedding_dim);
 
@@ -184,9 +184,10 @@ TEST(SganTest, FeatureMatchingPullsFakesTowardRealMean) {
   // After training, the generator's output mean in the discriminator's
   // embedding space should sit closer to the real mean than the raw
   // synthetic inputs do.
-  la::Matrix h_real = sgan.Embeddings(data.x_real);
-  la::Matrix h_fake = sgan.Embeddings(sgan.Generate(data.x_synthetic));
-  la::Matrix h_raw = sgan.Embeddings(data.x_synthetic);
+  la::Matrix h_real = sgan.Predict(data.x_real).embeddings;
+  la::Matrix h_fake =
+      sgan.Predict(sgan.Generate(data.x_synthetic)).embeddings;
+  la::Matrix h_raw = sgan.Predict(data.x_synthetic).embeddings;
   la::Matrix mean_real = h_real.ColMean();
   la::Matrix mean_fake = h_fake.ColMean();
   la::Matrix mean_raw = h_raw.ColMean();

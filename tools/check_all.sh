@@ -125,11 +125,12 @@ for stage in "${stages[@]}"; do
       cmake --build "${build_dir}" -j "${jobs}" --target \
         util_thread_pool_test la_parallel_equivalence_test \
         la_into_equivalence_test nn_alloc_free_test \
-        eval_determinism_test prop_test la_pca_kmeans_test
+        eval_determinism_test prop_test la_pca_kmeans_test \
+        core_selector_test
       # The *_mt4 ctest entries pin GALE_NUM_THREADS=4; re-run the
       # kernel-heavy suites at a wider 8 threads for extra interleavings.
       ctest --test-dir "${build_dir}" --output-on-failure \
-        -R '^(util_thread_pool|la_parallel_equivalence|la_into_equivalence|nn_alloc_free|eval_determinism|prop|la_pca_kmeans)_test(_mt4)?$'
+        -R '^(util_thread_pool|la_parallel_equivalence|la_into_equivalence|nn_alloc_free|eval_determinism|prop|la_pca_kmeans|core_selector)_test(_mt4)?$'
       GALE_NUM_THREADS=8 ctest --test-dir "${build_dir}" --output-on-failure \
         -R '(util_thread_pool|la_parallel_equivalence|la_into_equivalence)_test$'
       ;;
