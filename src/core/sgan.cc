@@ -18,23 +18,24 @@ namespace gale::core {
 
 namespace {
 
-// Stacks a over b over c into `*out` (reshaped via EnsureShape; every row
-// is assigned, so no zero-fill).
-void VStack3Into(const la::Matrix& a, const la::Matrix& b, const la::Matrix& c,
-                 la::Matrix* out) {
+// Rows [h, a.rows() + b.rows()) of [a; b], then c, into `*out` (reshaped
+// via EnsureShape; every row is assigned, so no zero-fill): the part of
+// the batch [a; b; c] past its first h rows.
+void StackTailInto(const la::Matrix& a, const la::Matrix& b,
+                   const la::Matrix& c, size_t h, la::Matrix* out) {
   GALE_CHECK_EQ(a.cols(), b.cols());
   GALE_CHECK_EQ(a.cols(), c.cols());
-  out->EnsureShape(a.rows() + b.rows() + c.rows(), a.cols());
-  for (size_t r = 0; r < a.rows(); ++r) {
-    std::copy(a.RowPtr(r), a.RowPtr(r) + a.cols(), out->RowPtr(r));
+  const size_t ab = a.rows() + b.rows();
+  GALE_CHECK_LE(h, ab);
+  out->EnsureShape(ab - h + c.rows(), a.cols());
+  size_t r = 0;
+  const auto copy_row = [&](const double* src) {
+    std::copy(src, src + a.cols(), out->RowPtr(r++));
+  };
+  for (size_t i = h; i < ab; ++i) {
+    copy_row(i < a.rows() ? a.RowPtr(i) : b.RowPtr(i - a.rows()));
   }
-  for (size_t r = 0; r < b.rows(); ++r) {
-    std::copy(b.RowPtr(r), b.RowPtr(r) + b.cols(), out->RowPtr(a.rows() + r));
-  }
-  for (size_t r = 0; r < c.rows(); ++r) {
-    std::copy(c.RowPtr(r), c.RowPtr(r) + c.cols(),
-              out->RowPtr(a.rows() + b.rows() + r));
-  }
+  for (size_t i = 0; i < c.rows(); ++i) copy_row(c.RowPtr(i));
 }
 
 // P(error), P(correct) per row: D's first two logits renormalized.
@@ -200,9 +201,15 @@ SganEpochStats Sgan::RunEpoch(const la::Matrix& x_real,
   // the errors), so they double as supervised 'error' examples — GEDet's
   // few-shot mechanism of "enhancing examples with synthetic ones". Only
   // G's *generated* rows carry the third, 'synthetic' label of Eq. (1).
+  // D's first layer reads the batch as the call's compressed head_ (the
+  // constant rows) plus a dense tail: the 0-3 leftover constant rows and
+  // G's outputs.
   const size_t total = n_real + n_syn + n_fake;
-  la::Workspace::Scoped combined = ws_.Checkout(total, feature_dim_);
-  VStack3Into(x_real, x_synthetic, *fake, &combined.mat());
+  GALE_DCHECK_EQ(head_.rows(), (n_real + n_syn) - (n_real + n_syn) % 4)
+      << "head_ not built for this call";
+  la::Workspace::Scoped tail =
+      ws_.Checkout(total - head_.rows(), feature_dim_);
+  StackTailInto(x_real, x_synthetic, *fake, head_.rows(), &tail.mat());
   combined_labels_.assign(total, kUnlabeled);
   supervised_mask_.assign(total, 0);
   is_fake_.assign(total, 0);
@@ -241,7 +248,7 @@ SganEpochStats Sgan::RunEpoch(const la::Matrix& x_real,
   }
 
   const la::Matrix& logits =
-      discriminator_.Forward(combined.mat(), /*training=*/true);
+      discriminator_.ForwardSplit(head_, tail.mat(), /*training=*/true);
 
   const double sup_loss = nn::ConditionalCrossEntropy(
       logits, /*num_real_classes=*/2, combined_labels_, supervised_mask_,
@@ -303,6 +310,13 @@ SganEpochStats Sgan::RunEpoch(const la::Matrix& x_real,
   return stats;
 }
 
+void Sgan::CompressHead(const la::Matrix& x_real,
+                        const la::Matrix& x_synthetic) {
+  const size_t constant_rows = x_real.rows() + x_synthetic.rows();
+  head_.AssignFromDense({&x_real, &x_synthetic},
+                        constant_rows - constant_rows % 4);
+}
+
 double Sgan::ValidationF1(const la::Matrix& x_real,
                           const std::vector<int>& val_labels) {
   const std::vector<int> predicted = PredictLabels(x_real);
@@ -342,6 +356,7 @@ util::Status Sgan::Train(const la::Matrix& x_real,
     return util::Status::InvalidArgument("Sgan::Train: empty X_S");
   }
 
+  CompressHead(x_real, x_synthetic);
   const bool has_val = !val_labels.empty();
   double best_val = -1.0;
   int stale_epochs = 0;
@@ -376,6 +391,7 @@ util::Status Sgan::Update(const la::Matrix& x_real,
     return util::Status::InvalidArgument("Sgan::Update: labels size");
   }
   const int budget = epochs < 0 ? config_.update_epochs : epochs;
+  CompressHead(x_real, x_synthetic);
   for (int epoch = 0; epoch < budget; ++epoch) {
     epoch_stats_.push_back(
         RunEpoch(x_real, labels, x_synthetic, /*update_g=*/false));

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "la/matrix.h"
+#include "la/sparse_matrix.h"
 #include "la/workspace.h"
 #include "nn/adam.h"
 #include "nn/sequential.h"
@@ -159,6 +160,9 @@ class Sgan {
                           const std::vector<int>& labels,
                           const la::Matrix& x_synthetic, bool update_g);
 
+  // Builds head_ for one Train/Update call from its X_R and X_S.
+  void CompressHead(const la::Matrix& x_real, const la::Matrix& x_synthetic);
+
   // Macro-F1 of M on the rows labeled in `val_labels`.
   double ValidationF1(const la::Matrix& x_real,
                       const std::vector<int>& val_labels);
@@ -177,6 +181,13 @@ class Sgan {
   // at a given batch shape, RunEpoch performs zero la-buffer allocations
   // (asserted by a ScopedAllocFreeCheck when the shape is unchanged).
   la::Workspace ws_;
+  // The rows [0, h) of [X_R; X_S] with h = 4·⌊(n_real + n_syn)/4⌋,
+  // compressed once per Train/Update call: they are the same in every
+  // epoch, and about two thirds of the encoder's features are exact
+  // zeros, which D's first layer skips (nn::Dense::ForwardSplit). A
+  // 4-aligned h keeps dW's row groups whole, so the bits are the dense
+  // batch's.
+  la::SparseMatrix head_;
   la::Matrix grad_sup_;
   la::Matrix grad_unsup_;
   la::Matrix h_real_;

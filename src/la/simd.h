@@ -192,10 +192,48 @@ class ScopedIsaOverride {
 // is coordinate c of centroid l.
 inline constexpr std::size_t kDistanceLanes = 8;
 
+namespace internal {
+
+// Where the grouped part of a sparse line [k, end) ends: its indices below
+// `aligned` (a multiple of 4) come first, the ragged ones last.
+inline std::size_t GroupedEnd(const std::uint32_t* idx, std::size_t k,
+                              std::size_t end, std::size_t aligned) {
+  while (end > k && idx[end - 1] >= aligned) --end;
+  return end;
+}
+
+// Entries (1-4) of the k-group {4g..4g+3} starting at entry k < split.
+// Indices ascend, so the group's entries are adjacent.
+inline std::size_t GroupTerms(const std::uint32_t* idx, std::size_t k,
+                              std::size_t split) {
+  const std::uint32_t g = idx[k] >> 2;
+  return 1 + static_cast<std::size_t>(k + 1 < split && idx[k + 1] >> 2 == g) +
+         static_cast<std::size_t>(k + 2 < split && idx[k + 2] >> 2 == g) +
+         static_cast<std::size_t>(k + 3 < split && idx[k + 3] >> 2 == g);
+}
+
+}  // namespace internal
+
 namespace scalar {
 
 inline void Axpy(double* out, const double* x, double a, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) out[j] += a * x[j];
+}
+
+// Axpy2 and Axpy3 are Axpy4 with its last terms dropped: the trees
+// a0·x0 + a1·x1 and (a0·x0 + a1·x1) + a2·x2, added onto out. They are
+// GroupedAxpyLine's bodies for k-groups of two and three terms.
+inline void Axpy2(double* out, const double* x0, const double* x1, double a0,
+                  double a1, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) out[j] += a0 * x0[j] + a1 * x1[j];
+}
+
+inline void Axpy3(double* out, const double* x0, const double* x1,
+                  const double* x2, double a0, double a1, double a2,
+                  std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j] += a0 * x0[j] + a1 * x1[j] + a2 * x2[j];
+  }
 }
 
 inline void Axpy4(double* out, const double* x0, const double* x1,
@@ -203,6 +241,46 @@ inline void Axpy4(double* out, const double* x0, const double* x1,
                   double a2, double a3, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) {
     out[j] += a0 * x0[j] + a1 * x1[j] + a2 * x2[j] + a3 * x3[j];
+  }
+}
+
+// out[0, n) += the entries [k, end) of one sparse line (a CSR row or CSC
+// column) times the rows of x they index (x row i at x + i·n): the dense
+// A·B / Aᵀ·B of that line with its exact zeros dropped. Indices below
+// `aligned` (a multiple of 4) form the dense kernels' k-groups
+// {4g..4g+3}: each group's terms fold left to right and the fold is added
+// once, by Axpy, Axpy2, Axpy3 or Axpy4 on its term count. The ragged
+// indices at or past `aligned` end the line and add one term each, like
+// the dense kernels' leftover columns.
+inline void GroupedAxpyLine(double* out, const double* x, std::size_t n,
+                            const std::uint32_t* idx, const double* vals,
+                            std::size_t k, std::size_t end,
+                            std::size_t aligned) {
+  const std::size_t split = internal::GroupedEnd(idx, k, end, aligned);
+  while (k < split) {
+    const std::size_t terms = internal::GroupTerms(idx, k, split);
+    const double* x0 = x + static_cast<std::size_t>(idx[k]) * n;
+    const double* a = vals + k;
+    if (terms == 1) {
+      Axpy(out, x0, a[0], n);
+    } else {
+      const double* x1 = x + static_cast<std::size_t>(idx[k + 1]) * n;
+      if (terms == 2) {
+        Axpy2(out, x0, x1, a[0], a[1], n);
+      } else {
+        const double* x2 = x + static_cast<std::size_t>(idx[k + 2]) * n;
+        if (terms == 3) {
+          Axpy3(out, x0, x1, x2, a[0], a[1], a[2], n);
+        } else {
+          Axpy4(out, x0, x1, x2, x + static_cast<std::size_t>(idx[k + 3]) * n,
+                a[0], a[1], a[2], a[3], n);
+        }
+      }
+    }
+    k += terms;
+  }
+  for (; k < end; ++k) {
+    Axpy(out, x + static_cast<std::size_t>(idx[k]) * n, vals[k], n);
   }
 }
 
@@ -410,6 +488,36 @@ GALE_SIMD_AVX2 void Axpy(double* out, const double* x, double a,
   for (; j < n; ++j) out[j] += a * x[j];
 }
 
+GALE_SIMD_AVX2 void Axpy2(double* out, const double* x0, const double* x1,
+                          double a0, double a1, std::size_t n) {
+  const __m256d a0v = _mm256_set1_pd(a0);
+  const __m256d a1v = _mm256_set1_pd(a1);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256d s =
+        _mm256_add_pd(_mm256_mul_pd(a0v, _mm256_loadu_pd(x0 + j)),
+                      _mm256_mul_pd(a1v, _mm256_loadu_pd(x1 + j)));
+    _mm256_storeu_pd(out + j, _mm256_add_pd(_mm256_loadu_pd(out + j), s));
+  }
+  for (; j < n; ++j) out[j] += a0 * x0[j] + a1 * x1[j];
+}
+
+GALE_SIMD_AVX2 void Axpy3(double* out, const double* x0, const double* x1,
+                          const double* x2, double a0, double a1, double a2,
+                          std::size_t n) {
+  const __m256d a0v = _mm256_set1_pd(a0);
+  const __m256d a1v = _mm256_set1_pd(a1);
+  const __m256d a2v = _mm256_set1_pd(a2);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    __m256d s = _mm256_add_pd(_mm256_mul_pd(a0v, _mm256_loadu_pd(x0 + j)),
+                              _mm256_mul_pd(a1v, _mm256_loadu_pd(x1 + j)));
+    s = _mm256_add_pd(s, _mm256_mul_pd(a2v, _mm256_loadu_pd(x2 + j)));
+    _mm256_storeu_pd(out + j, _mm256_add_pd(_mm256_loadu_pd(out + j), s));
+  }
+  for (; j < n; ++j) out[j] += a0 * x0[j] + a1 * x1[j] + a2 * x2[j];
+}
+
 GALE_SIMD_AVX2 void Axpy4(double* out, const double* x0, const double* x1,
                           const double* x2, const double* x3, double a0,
                           double a1, double a2, double a3, std::size_t n) {
@@ -427,6 +535,38 @@ GALE_SIMD_AVX2 void Axpy4(double* out, const double* x0, const double* x1,
   }
   for (; j < n; ++j) {
     out[j] += a0 * x0[j] + a1 * x1[j] + a2 * x2[j] + a3 * x3[j];
+  }
+}
+
+GALE_SIMD_AVX2 void GroupedAxpyLine(double* out, const double* x,
+                                    std::size_t n, const std::uint32_t* idx,
+                                    const double* vals, std::size_t k,
+                                    std::size_t end, std::size_t aligned) {
+  const std::size_t split = internal::GroupedEnd(idx, k, end, aligned);
+  while (k < split) {
+    const std::size_t terms = internal::GroupTerms(idx, k, split);
+    const double* x0 = x + static_cast<std::size_t>(idx[k]) * n;
+    const double* a = vals + k;
+    if (terms == 1) {
+      Axpy(out, x0, a[0], n);
+    } else {
+      const double* x1 = x + static_cast<std::size_t>(idx[k + 1]) * n;
+      if (terms == 2) {
+        Axpy2(out, x0, x1, a[0], a[1], n);
+      } else {
+        const double* x2 = x + static_cast<std::size_t>(idx[k + 2]) * n;
+        if (terms == 3) {
+          Axpy3(out, x0, x1, x2, a[0], a[1], a[2], n);
+        } else {
+          Axpy4(out, x0, x1, x2, x + static_cast<std::size_t>(idx[k + 3]) * n,
+                a[0], a[1], a[2], a[3], n);
+        }
+      }
+    }
+    k += terms;
+  }
+  for (; k < end; ++k) {
+    Axpy(out, x + static_cast<std::size_t>(idx[k]) * n, vals[k], n);
   }
 }
 
@@ -773,6 +913,13 @@ GALE_SIMD_AVX2 void DistanceSquared8(double* out, const double* x,
 
 inline void Axpy(double* out, const double* x, double a, std::size_t n) {
   GALE_SIMD_DISPATCH(Axpy(out, x, a, n))
+}
+
+inline void GroupedAxpyLine(double* out, const double* x, std::size_t n,
+                            const std::uint32_t* idx, const double* vals,
+                            std::size_t k, std::size_t end,
+                            std::size_t aligned) {
+  GALE_SIMD_DISPATCH(GroupedAxpyLine(out, x, n, idx, vals, k, end, aligned))
 }
 
 inline void Axpy4(double* out, const double* x0, const double* x1,

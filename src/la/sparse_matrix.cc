@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "la/simd.h"
@@ -22,21 +23,82 @@ constexpr size_t kBlockCostTarget = 4096;
 // row-pointer load, the output-row base computation).
 constexpr size_t kRowCost = 4;
 
+// B rows per panel of the grouped Aᵀ·B: every output row takes its terms
+// from one panel before the next, so the panel stays cache-resident while
+// all of a shard's output rows read it. A multiple of 4, so no k-group
+// straddles two panels.
+constexpr size_t kPanelRows = 512;
+// Output rows whose panel cursors one pass of the grouped Aᵀ·B keeps.
+constexpr size_t kCursorRows = 256;
+
 // Rows [0, rows) partitioned into contiguous blocks of ~kBlockCostTarget
-// cost each. Depends only on the sparsity pattern, never the thread count.
-simd::AlignedU32Vector BuildRowBlocks(const size_t* row_ptr, size_t rows) {
-  simd::AlignedU32Vector blocks;
-  blocks.push_back(0);
+// cost each, written into `*blocks` (its capacity is reused). Depends only
+// on the sparsity pattern, never the thread count.
+void BuildRowBlocks(const size_t* row_ptr, size_t rows,
+                    simd::AlignedU32Vector* blocks) {
+  blocks->clear();
+  blocks->push_back(0);
   size_t cost = 0;
   for (size_t r = 0; r < rows; ++r) {
     cost += kRowCost + (row_ptr[r + 1] - row_ptr[r]);
     if (cost >= kBlockCostTarget) {
-      blocks.push_back(static_cast<uint32_t>(r + 1));
+      blocks->push_back(static_cast<uint32_t>(r + 1));
       cost = 0;
     }
   }
-  if (blocks.back() != rows) blocks.push_back(static_cast<uint32_t>(rows));
-  return blocks;
+  if (blocks->back() != rows) blocks->push_back(static_cast<uint32_t>(rows));
+}
+
+// True when no entry is −0.0: the grouped products' accumulator contract.
+bool NoNegativeZero(const double* p, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    // gale-lint: allow(float-compare): exact zero is the contract
+    if (p[i] == 0.0 && std::signbit(p[i])) return false;
+  }
+  return true;
+}
+
+// One shard of the grouped A·B: output rows [r0, r1), zero-filled first
+// unless accumulating. b: cols x n, out: rows x n.
+__attribute__((noinline)) void GroupedGatherRows(
+    const size_t* ptr, const uint32_t* idx, const double* vals,
+    size_t aligned, const double* b, size_t n, bool accumulate, double* out,
+    size_t r0, size_t r1) {
+  for (size_t r = r0; r < r1; ++r) {
+    double* out_row = out + r * n;
+    if (!accumulate) std::fill(out_row, out_row + n, 0.0);
+    simd::GroupedAxpyLine(out_row, b, n, idx, vals, ptr[r], ptr[r + 1],
+                          aligned);
+  }
+}
+
+// One shard of the grouped Aᵀ·B over the transpose view: output rows
+// (= columns of A) [c0, c1). B is swept in panels of kPanelRows rows in
+// ascending order, and each output row takes its terms from a panel
+// before moving on, so every output element still adds its groups in
+// ascending source-row order. b: rows x n, out: cols x n.
+__attribute__((noinline)) void GroupedGatherColumns(
+    const size_t* ptr, const uint32_t* idx, const double* vals, size_t rows,
+    size_t aligned, const double* b, size_t n, bool accumulate, double* out,
+    size_t c0, size_t c1) {
+  size_t cursor[kCursorRows];
+  for (size_t cc = c0; cc < c1; cc += kCursorRows) {
+    const size_t ce = std::min(c1, cc + kCursorRows);
+    for (size_t c = cc; c < ce; ++c) {
+      cursor[c - cc] = ptr[c];
+      if (!accumulate) std::fill(out + c * n, out + (c + 1) * n, 0.0);
+    }
+    for (size_t p0 = 0; p0 < rows; p0 += kPanelRows) {
+      const size_t p1 = std::min(rows, p0 + kPanelRows);
+      for (size_t c = cc; c < ce; ++c) {
+        const size_t k = cursor[c - cc];
+        size_t end = k;
+        while (end < ptr[c + 1] && idx[end] < p1) ++end;
+        simd::GroupedAxpyLine(out + c * n, b, n, idx, vals, k, end, aligned);
+        cursor[c - cc] = end;
+      }
+    }
+  }
 }
 
 // One shard of a CSR-view gather: out[r] += sum_k vals[k] * dense[idx[k]]
@@ -142,8 +204,76 @@ SparseMatrix SparseMatrix::FromTriplets(size_t rows, size_t cols,
     i = j;
   }
   for (size_t r = 0; r < rows; ++r) m.row_ptr_[r + 1] += m.row_ptr_[r];
-  m.block_row_ = BuildRowBlocks(m.row_ptr_.data(), rows);
+  BuildRowBlocks(m.row_ptr_.data(), rows, &m.block_row_);
   return m;
+}
+
+void SparseMatrix::AssignFromDense(std::initializer_list<const Matrix*> blocks,
+                                   size_t rows) {
+  GALE_CHECK(blocks.size() > 0) << "AssignFromDense needs a block";
+  const size_t cols = (*blocks.begin())->cols();
+  size_t stacked = 0;
+  for (const Matrix* block : blocks) {
+    GALE_CHECK_EQ(block->cols(), cols) << "AssignFromDense ragged blocks";
+    stacked += block->rows();
+  }
+  GALE_CHECK_LE(rows, stacked) << "AssignFromDense past the stack";
+  GALE_CHECK(cols <= std::numeric_limits<uint32_t>::max())
+      << "CSR column index overflows the packed uint32 layout";
+  GALE_CHECK(rows < std::numeric_limits<uint32_t>::max())
+      << "CSR row count overflows the packed uint32 layout";
+  // Calls `fn(r, row pointer)` for the first `rows` rows of the stack.
+  const auto for_each_row = [&](const auto& fn) {
+    size_t r = 0;
+    for (const Matrix* block : blocks) {
+      for (size_t i = 0; i < block->rows() && r < rows; ++i, ++r) {
+        fn(r, block->RowPtr(i));
+      }
+    }
+  };
+  const size_t capacities[] = {
+      row_ptr_.capacity(), col_idx_.capacity(), values_.capacity(),
+      block_row_.capacity(), t_ptr_.capacity(), t_idx_.capacity(),
+      t_val_.capacity(), t_block_row_.capacity()};
+
+  rows_ = rows;
+  cols_ = cols;
+  row_ptr_.resize(rows + 1);
+  row_ptr_[0] = 0;
+  for_each_row([&](size_t r, const double* x) {
+    size_t count = 0;
+    // gale-lint: allow(float-compare): exact zeros are what is dropped
+    for (size_t c = 0; c < cols; ++c) count += x[c] != 0.0;
+    row_ptr_[r + 1] = row_ptr_[r] + count;
+  });
+  // Branch-free compaction: every entry is written at the cursor, which
+  // advances past nonzeros only. A row's trailing zeros land on the next
+  // row's first slot (rewritten by that row) or, after the last row, on
+  // one slot of slack.
+  const size_t nnz = row_ptr_[rows];
+  col_idx_.resize(nnz + 1);
+  values_.resize(nnz + 1);
+  for_each_row([&](size_t r, const double* x) {
+    size_t k = row_ptr_[r];
+    for (size_t c = 0; c < cols; ++c) {
+      col_idx_[k] = static_cast<uint32_t>(c);
+      values_[k] = x[c];
+      // gale-lint: allow(float-compare): exact zeros are what is dropped
+      k += x[c] != 0.0;
+    }
+  });
+  col_idx_.resize(nnz);
+  values_.resize(nnz);
+  BuildRowBlocks(row_ptr_.data(), rows, &block_row_);
+  BuildTransposeView();
+
+  const size_t after[] = {
+      row_ptr_.capacity(), col_idx_.capacity(), values_.capacity(),
+      block_row_.capacity(), t_ptr_.capacity(), t_idx_.capacity(),
+      t_val_.capacity(), t_block_row_.capacity()};
+  for (size_t i = 0; i < std::size(after); ++i) {
+    if (after[i] != capacities[i]) internal::CountBufferAllocation();
+  }
 }
 
 SparseMatrix SparseMatrix::NormalizedAdjacency(
@@ -242,6 +372,10 @@ void SparseMatrix::EnsureTransposeView() const {
   // mutation cannot race.
   GALE_DCHECK(!util::InParallelRegion())
       << "transpose view first built inside a parallel region";
+  BuildTransposeView();
+}
+
+void SparseMatrix::BuildTransposeView() const {
   // The serial scatter (out[col] += w * dense[row]) races under row
   // partitioning, so materialize the transpose's CSC view and gather over
   // its rows instead. The counting sort is stable in the row index, which
@@ -254,17 +388,18 @@ void SparseMatrix::EnsureTransposeView() const {
   for (size_t c = 0; c < cols_; ++c) t_ptr_[c + 1] += t_ptr_[c];
   t_idx_.resize(nnz);
   t_val_.resize(nnz);
-  {
-    std::vector<size_t> cursor(t_ptr_.begin(), t_ptr_.end() - 1);
-    for (size_t r = 0; r < rows_; ++r) {
-      for (size_t k = RowBegin(r); k < RowEnd(r); ++k) {
-        const size_t pos = cursor[col_idx_[k]]++;
-        t_idx_[pos] = static_cast<uint32_t>(r);
-        t_val_[pos] = values_[k];
-      }
+  // t_ptr_[c] serves as column c's write cursor, ending at column c + 1's
+  // start; shifting by one slot then restores the starts.
+  for (size_t r = 0; r < rows_; ++r) {
+    for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const size_t pos = t_ptr_[col_idx_[k]]++;
+      t_idx_[pos] = static_cast<uint32_t>(r);
+      t_val_[pos] = values_[k];
     }
   }
-  t_block_row_ = BuildRowBlocks(t_ptr_.data(), cols_);
+  for (size_t c = cols_; c > 0; --c) t_ptr_[c] = t_ptr_[c - 1];
+  t_ptr_[0] = 0;
+  BuildRowBlocks(t_ptr_.data(), cols_, &t_block_row_);
   transpose_built_ = true;
 }
 
@@ -292,6 +427,48 @@ void SparseMatrix::TransposedMultiplyInto(const Matrix& dense, Matrix* out,
   util::ParallelFor(0, num_blocks, 1, [&](size_t b0, size_t b1) {
     GatherRows(t_ptr_.data(), t_idx_.data(), t_val_.data(), dense.RowPtr(0),
                d, out->RowPtr(0), t_block_row_[b0], t_block_row_[b1]);
+  });
+}
+
+void SparseMatrix::GroupedMultiplyInto(const Matrix& b, Matrix* out,
+                                       bool accumulate) const {
+  GALE_CHECK_EQ(cols_, b.rows()) << "grouped SpMM shape mismatch";
+  GALE_CHECK(out != &b) << "GroupedMultiplyInto aliased output";
+  GALE_CHECK(out->rows() >= rows_ && out->cols() == b.cols())
+      << "GroupedMultiplyInto output must be pre-shaped";
+  const size_t n = b.cols();
+  GALE_DCHECK_ALL_FINITE(b.data()) << "grouped SpMM needs a finite B";
+  GALE_DCHECK(!accumulate || NoNegativeZero(out->RowPtr(0), rows_ * n))
+      << "grouped SpMM accumulator holds -0.0";
+  util::ParallelFor(0, num_row_blocks(), 1, [&](size_t b0, size_t b1) {
+    GroupedGatherRows(row_ptr_.data(), col_idx_.data(), values_.data(),
+                      cols_ - cols_ % 4, b.RowPtr(0), n, accumulate,
+                      out->RowPtr(0), block_row_[b0], block_row_[b1]);
+  });
+}
+
+void SparseMatrix::GroupedTransposedMultiplyInto(const Matrix& b, Matrix* out,
+                                                 bool accumulate) const {
+  GALE_CHECK_LE(rows_, b.rows()) << "grouped SpMM^T shape mismatch";
+  GALE_CHECK(out != &b) << "GroupedTransposedMultiplyInto aliased output";
+  const size_t n = b.cols();
+  if (accumulate) {
+    GALE_CHECK(out->rows() == cols_ && out->cols() == n)
+        << "GroupedTransposedMultiplyInto accumulate shape mismatch";
+    GALE_DCHECK(NoNegativeZero(out->RowPtr(0), cols_ * n))
+        << "grouped SpMM^T accumulator holds -0.0";
+  } else {
+    out->EnsureShape(cols_, n);
+  }
+  GALE_DCHECK(util::check_internal::AllFinite(b.RowPtr(0), rows_ * n))
+      << "grouped SpMM^T needs a finite B";
+  EnsureTransposeView();
+  const size_t num_blocks =
+      t_block_row_.empty() ? 0 : t_block_row_.size() - 1;
+  util::ParallelFor(0, num_blocks, 1, [&](size_t b0, size_t b1) {
+    GroupedGatherColumns(t_ptr_.data(), t_idx_.data(), t_val_.data(), rows_,
+                         rows_ - rows_ % 4, b.RowPtr(0), n, accumulate,
+                         out->RowPtr(0), t_block_row_[b0], t_block_row_[b1]);
   });
 }
 

@@ -21,12 +21,26 @@
 // over disjoint output rows (util::ParallelFor) with a fixed per-row
 // accumulation order, so their results are bitwise identical at every
 // GALE_NUM_THREADS setting.
+//
+// Two products serve a different contract. GroupedMultiplyInto and
+// GroupedTransposedMultiplyInto are the dense Matrix::MatMulInto /
+// TransposedMatMulInto with the terms of exact-zero entries dropped, so a
+// mostly-zero operand (the encoder's hashed tokens and one-hots) is
+// multiplied at the cost of its nonzeros with the dense kernel's bits.
+// Dropping a term a·b with a = ±0 and b finite leaves a left fold
+// unchanged up to the sign of a zero, and an accumulator that holds no
+// −0.0 absorbs that sign, so keeping the dense kernel's expression tree
+// per k-group (sum the group's nonzero terms left to right, then add the
+// group onto the output) reproduces it exactly. The serial-order
+// MultiplyInto / TransposedMultiplyInto keep their own order: the graph
+// operators' goldens depend on it.
 
 #ifndef GALE_LA_SPARSE_MATRIX_H_
 #define GALE_LA_SPARSE_MATRIX_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "la/matrix.h"
@@ -51,7 +65,8 @@ enum class SpmmEpilogue {
   kBiasLeakyRelu,  // out[r] = leaky_relu(gather(r) + bias, slope)
 };
 
-// Immutable CSR matrix. Duplicate (row, col) triplets are summed.
+// CSR matrix, immutable between builds. Duplicate (row, col) triplets
+// are summed.
 class SparseMatrix {
  public:
   SparseMatrix() : rows_(0), cols_(0) {}
@@ -59,6 +74,14 @@ class SparseMatrix {
   // Builds from triplets; duplicates are coalesced by summation.
   static SparseMatrix FromTriplets(size_t rows, size_t cols,
                                    std::vector<Triplet> triplets);
+
+  // Rebuilds this matrix in place from the first `rows` rows of the
+  // vertical stack of `blocks` (equal widths), keeping the entries that
+  // are not ±0.0, and builds the transpose view eagerly. The buffers are
+  // reused: a rebuild within their capacity does not allocate (a growth
+  // counts toward la::BufferAllocations(), like a Matrix growth).
+  void AssignFromDense(std::initializer_list<const Matrix*> blocks,
+                       size_t rows);
 
   // The symmetric renormalized adjacency of Kipf-Welling GCNs:
   //   D̃^{-1/2} (A + I) D̃^{-1/2}
@@ -139,6 +162,23 @@ class SparseMatrix {
   void TransposedMultiplyInto(const Matrix& dense, Matrix* out,
                               bool accumulate = false) const;
 
+  // Grouped A·B: bitwise equal to ToDense().MatMulInto(b, ...) for finite
+  // `b` (and, with accumulate, an output holding no −0.0), at every thread
+  // count and ISA. Only rows [0, rows()) of `*out` are written, and `*out`
+  // must already have at least rows() rows and b.cols() columns: the rows
+  // past rows() are left untouched for the caller (the split first layer
+  // of nn::Dense fills them with a dense product). Shards own disjoint
+  // output rows. `out` must not alias `b`.
+  void GroupedMultiplyInto(const Matrix& b, Matrix* out,
+                           bool accumulate = false) const;
+  // Grouped Aᵀ·B over the first rows() rows of `b` (which may have more):
+  // bitwise equal to ToDense().TransposedMatMulInto on those rows, under
+  // the same conditions. `*out` is reshaped to cols() x b.cols() unless
+  // accumulating. Runs on the transpose view in panels of B rows, sharded
+  // over disjoint output rows.
+  void GroupedTransposedMultiplyInto(const Matrix& b, Matrix* out,
+                                     bool accumulate = false) const;
+
   // Sparse-matrix by dense-vector product.
   std::vector<double> MultiplyVector(const std::vector<double>& v) const;
   // Out-parameter form; reuses `out`'s capacity (steady state: no
@@ -151,6 +191,8 @@ class SparseMatrix {
 
  private:
   void EnsureTransposeView() const;
+  // Builds the transpose view from the CSR arrays, reusing its buffers.
+  void BuildTransposeView() const;
 
   size_t rows_;
   size_t cols_;
@@ -161,8 +203,9 @@ class SparseMatrix {
   // [block_row_[b], block_row_[b + 1]).
   simd::AlignedU32Vector block_row_;
 
-  // Lazily-built cached transpose (CSC) view for TransposedMultiplyInto;
-  // logically const (the matrix is immutable once built), hence mutable.
+  // Cached transpose (CSC) view for the transposed products, built lazily
+  // on first use or eagerly by AssignFromDense; logically const (the
+  // matrix is immutable between builds), hence mutable.
   mutable bool transpose_built_ = false;
   mutable simd::AlignedSizeVector t_ptr_;        // size cols_ + 1
   mutable simd::AlignedU32Vector t_idx_;         // source rows, size nnz

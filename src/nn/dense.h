@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "la/matrix.h"
+#include "la/sparse_matrix.h"
 #include "nn/layer.h"
 #include "util/rng.h"
 
@@ -21,6 +22,16 @@ class Dense : public Layer {
   Dense(la::Matrix weight, la::Matrix bias);
 
   const la::Matrix& Forward(const la::Matrix& input, bool training) override;
+  // Forward on the batch [head; tail] with the head compressed: rows
+  // [0, head.rows()) are head·W by the grouped sparse product and the
+  // rest tail·W by the dense one, so the output is bitwise that of
+  // Forward on the stacked dense batch (finite weights). `head` is
+  // borrowed until the next Forward: the following BackwardParams
+  // computes dW as the grouped headᵀ·dZ_head, then adds tailᵀ·dZ_tail.
+  // For dW to keep the stacked batch's bits, head.rows() must be a
+  // multiple of 4, so no k-group of the dense Aᵀ·B straddles the split.
+  const la::Matrix& ForwardSplit(const la::SparseMatrix& head,
+                                 const la::Matrix& tail);
   const la::Matrix& Backward(const la::Matrix& grad_output) override;
   // Skips dL/dinput = grad_output · Wᵀ.
   void BackwardParams(const la::Matrix& grad_output) override;
@@ -43,9 +54,13 @@ class Dense : public Layer {
   la::Matrix bias_;         // 1 x out
   la::Matrix grad_weight_;  // in x out
   la::Matrix grad_bias_;    // 1 x out
-  la::Matrix input_cache_;  // last forward input
+  la::Matrix input_cache_;  // last forward input (the tail after a split)
   la::Matrix out_;          // persistent forward output
   la::Matrix grad_input_;   // persistent backward output
+  // The last forward's compressed head, or null after a plain Forward.
+  const la::SparseMatrix* head_ = nullptr;
+  la::Matrix tail_out_;   // tail·W before it joins out_
+  la::Matrix tail_grad_;  // dZ's tail rows, for tailᵀ·dZ_tail
 };
 
 }  // namespace gale::nn

@@ -1,5 +1,6 @@
 #include "nn/sequential.h"
 
+#include "nn/dense.h"
 #include "util/logging.h"
 
 namespace gale::nn {
@@ -16,6 +17,23 @@ const la::Matrix& Sequential::Forward(const la::Matrix& input,
   const la::Matrix* x = &input;
   for (auto& layer : layers_) {
     x = &layer->Forward(*x, training);
+    activations_.push_back(x);
+  }
+  return *x;
+}
+
+const la::Matrix& Sequential::ForwardSplit(const la::SparseMatrix& head,
+                                           const la::Matrix& tail,
+                                           bool training) {
+  GALE_CHECK(!layers_.empty()) << "ForwardSplit on an empty stack";
+  auto* first = dynamic_cast<Dense*>(layers_[0].get());
+  GALE_CHECK(first != nullptr) << "ForwardSplit needs a Dense first layer";
+  activations_.clear();
+  activations_.reserve(layers_.size());
+  const la::Matrix* x = &first->ForwardSplit(head, tail);
+  activations_.push_back(x);
+  for (size_t i = 1; i < layers_.size(); ++i) {
+    x = &layers_[i]->Forward(*x, training);
     activations_.push_back(x);
   }
   return *x;

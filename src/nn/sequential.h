@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "la/matrix.h"
+#include "la/sparse_matrix.h"
 #include "nn/layer.h"
 
 namespace gale::nn {
@@ -28,6 +29,12 @@ class Sequential : public Layer {
   Sequential& Add(std::unique_ptr<Layer> layer);
 
   const la::Matrix& Forward(const la::Matrix& input, bool training) override;
+  // Forward on the batch [head; tail] whose first layer is a Dense: it
+  // runs Dense::ForwardSplit, and every later layer sees the full
+  // activation as Forward would. Bitwise equal to Forward on the stacked
+  // dense batch; `head` must outlive the following BackwardParams.
+  const la::Matrix& ForwardSplit(const la::SparseMatrix& head,
+                                 const la::Matrix& tail, bool training);
   const la::Matrix& Backward(const la::Matrix& grad_output) override;
   // Full Backward through layers n-1..1, then BackwardParams on layer 0:
   // the parameter gradients of Backward without dL/d(stack input).

@@ -24,9 +24,9 @@ struct BlobData {
   la::Matrix x_synthetic;
 };
 
-BlobData MakeBlobs(size_t n, size_t labeled_per_class, uint64_t seed) {
+BlobData MakeBlobs(size_t n, size_t labeled_per_class, uint64_t seed,
+                   size_t d = 8) {
   util::Rng rng(seed);
-  const size_t d = 8;
   BlobData data;
   data.x_real = la::Matrix(n, d);
   data.full_truth.assign(n, kLabelCorrect);
@@ -261,6 +261,53 @@ TEST(SganTest, GoldenBits) {
   EXPECT_EQ(weights_hash, 0x3559f35a677e4399ULL)
       << std::hex << "weights hash 0x" << weights_hash;
   EXPECT_EQ(probs_hash, 0xfc7fd659f111434eULL)
+      << std::hex << "probabilities hash 0x" << probs_hash;
+}
+
+// Zeroes about two thirds of the entries (each with probability 2/3,
+// alternating the zero's sign) and all of column `zero_col`: the shape of
+// the encoder's hashed-token and one-hot features.
+void Sparsify(la::Matrix* x, size_t zero_col, util::Rng& rng) {
+  for (size_t r = 0; r < x->rows(); ++r) {
+    for (size_t c = 0; c < x->cols(); ++c) {
+      if (c == zero_col || rng.Uniform() < 2.0 / 3.0) {
+        x->At(r, c) = (r + c) % 2 == 0 ? 0.0 : -0.0;
+      }
+    }
+  }
+}
+
+TEST(SganTest, GoldenBitsSparseInput) {
+  // GoldenBits on mostly-zero features, the shape the first discriminator
+  // layer sees in detection. n_real + n_syn = 150 + 37 ≡ 3 (mod 4) and
+  // d = 10 ≡ 2 (mod 4), so rows and columns both have ragged tails.
+  // Recorded before the first layer learned to skip zeros; skipping
+  // exact zeros must not move a bit.
+  BlobData data = MakeBlobs(150, 8, 22, /*d=*/10);
+  const BlobData rich = MakeBlobs(150, 20, 22, /*d=*/10);
+  util::Rng rng(23);
+  Sparsify(&data.x_real, 3, rng);
+  Sparsify(&data.x_synthetic, 3, rng);
+  SganConfig config = FastConfig(22);
+  config.train_epochs = 30;
+  Sgan sgan(data.x_real.cols(), config);
+  ASSERT_TRUE(sgan.Train(data.x_real, data.labels, data.x_synthetic).ok());
+  ASSERT_TRUE(sgan.Update(data.x_real, rich.labels, data.x_synthetic).ok());
+  ASSERT_TRUE(sgan.Update(data.x_real, rich.labels, data.x_synthetic, 5).ok());
+
+  const DiscriminatorSnapshot snap = sgan.ExportDiscriminator();
+  std::vector<const la::Matrix*> params;
+  for (size_t i = 0; i < snap.weights.size(); ++i) {
+    params.push_back(&snap.weights[i]);
+    params.push_back(&snap.biases[i]);
+  }
+  const la::Matrix probs = sgan.PredictProbabilities(data.x_real);
+
+  const uint64_t weights_hash = HashBytes(params);
+  const uint64_t probs_hash = HashBytes({&probs});
+  EXPECT_EQ(weights_hash, 0x43cf5d43fcd57144ULL)
+      << std::hex << "weights hash 0x" << weights_hash;
+  EXPECT_EQ(probs_hash, 0xf79579158d095ea3ULL)
       << std::hex << "probabilities hash 0x" << probs_hash;
 }
 

@@ -1,7 +1,10 @@
 #include "la/sparse_matrix.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -293,6 +296,180 @@ TEST(SparseMatrixTest, RowIteration) {
   EXPECT_EQ(s.RowEnd(1) - s.RowBegin(1), 2u);
   EXPECT_EQ(s.ColIndex(s.RowBegin(1)), 0u);
   EXPECT_DOUBLE_EQ(s.Value(s.RowBegin(1) + 1), 3.0);
+}
+
+// --- grouped products ------------------------------------------------------
+
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+std::vector<simd::Isa> IsasUnderTest() {
+  std::vector<simd::Isa> isas = {simd::Isa::kScalar};
+  if (simd::BestSupportedIsa() == simd::Isa::kAvx2) {
+    isas.push_back(simd::Isa::kAvx2);
+  }
+  return isas;
+}
+
+// rows x cols with each entry nonzero with probability `density`; the
+// zeros alternate +0.0 and -0.0, row 1 and column 2 are all zero (when
+// they exist).
+Matrix MostlyZero(size_t rows, size_t cols, double density, util::Rng& rng) {
+  Matrix m(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      const bool keep = r != 1 && c != 2 && rng.Uniform() < density;
+      m.At(r, c) = keep ? rng.Normal() : ((r + c) % 2 == 0 ? 0.0 : -0.0);
+    }
+  }
+  return m;
+}
+
+// Random finite entries with every fifth one an exact zero of either sign.
+Matrix WithZeros(size_t rows, size_t cols, util::Rng& rng) {
+  Matrix m = Matrix::RandomNormal(rows, cols, 1.0, rng);
+  for (size_t i = 0; i < m.size(); i += 5) {
+    m.data()[i] = i % 2 == 0 ? 0.0 : -0.0;
+  }
+  return m;
+}
+
+TEST(GroupedProductTest, MatchesTheDenseKernelsBitwise) {
+  // Every k % 4 and row count % 4, rows past one Aᵀ·B panel (512), output
+  // widths on and off the vector lanes, densities 0, ~1/3 and 1, at 1 and
+  // 4 threads on every ISA: memcmp-equal to the dense kernels on
+  // ToDense() and on the source (whose -0.0 entries ToDense() turns
+  // into +0.0), overwriting and accumulating onto a nonzero output.
+  util::Rng rng(61);
+  for (size_t rows : {size_t{4}, size_t{9}, size_t{14}, size_t{1031}}) {
+    for (size_t k : {size_t{8}, size_t{5}, size_t{10}, size_t{7}}) {
+      for (double density : {0.0, 1.0 / 3.0, 1.0}) {
+        const Matrix a = MostlyZero(rows, k, density, rng);
+        SparseMatrix s;
+        s.AssignFromDense({&a}, rows);
+        const Matrix a_dense = s.ToDense();
+        for (size_t n : {size_t{1}, size_t{3}, size_t{8}, size_t{64}}) {
+          const Matrix b = WithZeros(k, n, rng);
+          const Matrix bt = WithZeros(rows, n, rng);
+          const Matrix base = Matrix::RandomNormal(rows, n, 1.0, rng);
+          const Matrix base_t = Matrix::RandomNormal(k, n, 1.0, rng);
+          Matrix want;
+          a_dense.MatMulInto(b, &want);
+          Matrix want_acc = base;
+          a_dense.MatMulInto(b, &want_acc, /*accumulate=*/true);
+          Matrix want_t;
+          a_dense.TransposedMatMulInto(bt, &want_t);
+          Matrix want_t_acc = base_t;
+          a_dense.TransposedMatMulInto(bt, &want_t_acc, /*accumulate=*/true);
+          Matrix from_source;
+          a.MatMulInto(b, &from_source);
+          Matrix from_source_t;
+          a.TransposedMatMulInto(bt, &from_source_t);
+          ASSERT_TRUE(SameBytes(from_source, want));
+          ASSERT_TRUE(SameBytes(from_source_t, want_t));
+          for (int threads : {1, 4}) {
+            util::ScopedParallelism p(threads);
+            for (simd::Isa isa : IsasUnderTest()) {
+              simd::ScopedIsaOverride pin(isa);
+              const std::string where =
+                  "rows=" + std::to_string(rows) + " k=" + std::to_string(k) +
+                  " n=" + std::to_string(n) + " density=" +
+                  std::to_string(density) + " threads=" +
+                  std::to_string(threads) + " isa=" + simd::IsaName(isa);
+              Matrix got(rows, n, 7.0);
+              s.GroupedMultiplyInto(b, &got);
+              EXPECT_TRUE(SameBytes(got, want)) << "A·B " << where;
+              Matrix got_acc = base;
+              s.GroupedMultiplyInto(b, &got_acc, /*accumulate=*/true);
+              EXPECT_TRUE(SameBytes(got_acc, want_acc)) << "A·B acc " << where;
+              Matrix got_t;
+              s.GroupedTransposedMultiplyInto(bt, &got_t);
+              EXPECT_TRUE(SameBytes(got_t, want_t)) << "AᵀB " << where;
+              Matrix got_t_acc = base_t;
+              s.GroupedTransposedMultiplyInto(bt, &got_t_acc,
+                                              /*accumulate=*/true);
+              EXPECT_TRUE(SameBytes(got_t_acc, want_t_acc))
+                  << "AᵀB acc " << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GroupedProductTest, PrefixRowsOfALargerOperand) {
+  // A·B writes only the first rows() rows of a taller output, and Aᵀ·B
+  // reads only the first rows() rows of a taller B: the split first layer
+  // of nn::Dense puts a dense product in the rows past the head.
+  util::Rng rng(62);
+  const Matrix a = MostlyZero(12, 9, 0.4, rng);
+  SparseMatrix s;
+  s.AssignFromDense({&a}, 12);
+  const Matrix b = Matrix::RandomNormal(9, 5, 1.0, rng);
+  Matrix out(15, 5, 3.0);
+  s.GroupedMultiplyInto(b, &out);
+  const Matrix want = a.MatMul(b);
+  for (size_t r = 0; r < 15; ++r) {
+    for (size_t c = 0; c < 5; ++c) {
+      const double expect = r < 12 ? want.At(r, c) : 3.0;
+      EXPECT_EQ(0, std::memcmp(&expect, &out.At(r, c), sizeof(double)))
+          << r << "," << c;
+    }
+  }
+  const Matrix tall = Matrix::RandomNormal(15, 5, 1.0, rng);
+  Matrix got;
+  s.GroupedTransposedMultiplyInto(tall, &got);
+  std::vector<size_t> head_rows(12);
+  for (size_t r = 0; r < 12; ++r) head_rows[r] = r;
+  EXPECT_TRUE(SameBytes(got, a.TransposedMatMul(tall.SelectRows(head_rows))));
+}
+
+TEST(GroupedProductTest, InPlaceRebuildLeavesNoStaleEntries) {
+  // A dense build, then a sparser and shorter one from a two-block stack
+  // cut mid-block: the rebuilt matrix holds exactly the new nonzeros (in
+  // both views) and allocates nothing when the buffers already fit.
+  util::Rng rng(63);
+  const Matrix full = MostlyZero(10, 7, 1.0, rng);
+  const Matrix top = MostlyZero(3, 7, 0.3, rng);
+  const Matrix bottom = MostlyZero(5, 7, 0.3, rng);
+  SparseMatrix s;
+  s.AssignFromDense({&full}, 10);
+  const size_t full_nnz = s.nnz();
+
+  const uint64_t before = BufferAllocations();
+  s.AssignFromDense({&top, &bottom}, 6);
+  EXPECT_EQ(BufferAllocations(), before) << "rebuild within capacity";
+  ASSERT_EQ(s.rows(), 6u);
+  ASSERT_EQ(s.cols(), 7u);
+  Matrix want(6, 7);
+  size_t nnz = 0;
+  for (size_t r = 0; r < 6; ++r) {
+    for (size_t c = 0; c < 7; ++c) {
+      const double v = r < 3 ? top.At(r, c) : bottom.At(r - 3, c);
+      if (std::fpclassify(v) != FP_ZERO) {
+        want.At(r, c) = v;
+        ++nnz;
+      }
+    }
+  }
+  EXPECT_LT(nnz, full_nnz);
+  EXPECT_EQ(s.nnz(), nnz);
+  EXPECT_TRUE(SameBytes(s.ToDense(), want));
+  const Matrix x = Matrix::RandomNormal(6, 3, 1.0, rng);
+  EXPECT_TRUE(SameBytes(s.TransposedMultiply(x), want.TransposedMatMul(x)));
+  Matrix got_t;
+  s.GroupedTransposedMultiplyInto(x, &got_t);
+  EXPECT_TRUE(SameBytes(got_t, want.TransposedMatMul(x)));
+
+  // Growing past the capacity counts, like a Matrix growth.
+  const Matrix bigger = MostlyZero(40, 7, 1.0, rng);
+  const uint64_t before_growth = BufferAllocations();
+  s.AssignFromDense({&bigger}, 40);
+  EXPECT_GT(BufferAllocations(), before_growth);
 }
 
 }  // namespace

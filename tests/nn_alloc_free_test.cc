@@ -129,6 +129,34 @@ TEST(AllocFreeTest, SganUpdateEpoch) {
       "Sgan::Update epoch (SGAND)");
 }
 
+TEST(AllocFreeTest, SganUpdateEpochSparseInput) {
+  // SganUpdateEpoch on mostly-zero features, so the compressed head D's
+  // first layer reads has a real sparsity pattern; 30 + 7 rows leave one
+  // constant row in the dense tail. Each Update call rebuilds the head in
+  // place, which must reuse its buffers.
+  const size_t d = 10;
+  core::SganConfig config;
+  config.hidden_dim = 16;
+  config.embedding_dim = 8;
+  core::Sgan sgan(d, config);
+
+  la::Matrix x_real = RandomMatrix(30, d, 19);
+  la::Matrix x_syn = RandomMatrix(7, d, 20);
+  util::Rng rng(21);
+  for (la::Matrix* x : {&x_real, &x_syn}) {
+    for (double& v : x->data()) {
+      if (rng.Uniform() < 2.0 / 3.0) v = 0.0;
+    }
+  }
+  std::vector<int> labels(30, core::kUnlabeled);
+  labels[0] = core::kLabelError;
+  labels[1] = core::kLabelCorrect;
+
+  ExpectSteadyStateAllocFree(
+      [&] { ASSERT_TRUE(sgan.Update(x_real, labels, x_syn, 1).ok()); },
+      "Sgan::Update epoch (SGAND), sparse input");
+}
+
 TEST(AllocFreeTest, SganTrainEpochWithGeneratorStep) {
   const size_t d = 10;
   core::SganConfig config;

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -147,6 +148,21 @@ TEST(SimdEquivalenceTest, PrimitivesAllTails) {
         return out;
       },
       "Axpy4");
+  CheckPrimitiveAllTails(
+      [](size_t n) {
+        // k-groups of three, two and four terms and one of one, then the
+        // ragged indices 13 and 14 past aligned = 12.
+        const std::vector<uint32_t> idx = {0, 1, 3, 5, 6, 8, 9, 10, 11, 13, 14};
+        const std::vector<double> vals = RandomVec(idx.size(), 30);
+        const std::vector<double> x = RandomVec(15 * n, 31);
+        std::vector<double> out = RandomVec(n, 32);
+        la::simd::GroupedAxpyLine(out.data(), x.data(), n, idx.data(),
+                                  vals.data(), 0, idx.size(), 12);
+        la::simd::GroupedAxpyLine(out.data(), x.data(), n, idx.data(),
+                                  vals.data(), 4, 9, 12);
+        return out;
+      },
+      "GroupedAxpyLine");
   CheckPrimitiveAllTails(
       [](size_t n) {
         const std::vector<double> a = RandomVec(n, 8);
