@@ -17,6 +17,7 @@
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,18 @@ int main(int argc, char** argv) {
                                                 {.batch_size = 64});
                          engine.ComputeRows(seeds);
                        }});
+  // The store's shapes: an incremental publish computes one row, a cold
+  // rebuild's influence bake about ten, each a narrow batch of a b64
+  // engine.
+  for (const size_t rows : {size_t{1}, size_t{10}}) {
+    workloads.push_back(
+        {"PPR batched b64 " + std::to_string(rows) +
+             (rows == 1 ? " row" : " rows"),
+         [&walk, &seeds, rows] {
+           prop::PprEngine engine(&walk, {.batch_size = 64});
+           engine.ComputeRows(std::span<const size_t>(seeds.data(), rows));
+         }});
+  }
 
   std::vector<std::string> header = {"workload"};
   for (int t : kThreadCounts) header.push_back(std::to_string(t) + "T (ms)");

@@ -1,6 +1,6 @@
 #include "core/augment.h"
 
-#include "graph/attribute_stats.h"
+#include "graph/feature_encoder.h"
 #include "graph/error_injector.h"
 #include "la/sparse_matrix.h"
 #include "util/logging.h"
@@ -131,7 +131,7 @@ util::Result<AugmentResult> GAugment(
 
   // Re-encode the polluted nodes against the clean statistics so their
   // rows live in the same space as X_R.
-  const graph::AttributeStats clean_stats(g);
+  const graph::EncoderStats clean_stats(g);
   const size_t raw_dims = encoder.RawDims(g);
   std::vector<size_t> polluted;
   for (size_t v = 0; v < g.num_nodes(); ++v) {

@@ -25,6 +25,9 @@
 #define GALE_GRAPH_FEATURE_ENCODER_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <string_view>
+#include <vector>
 
 #include "graph/attribute_stats.h"
 #include "graph/attributed_graph.h"
@@ -47,6 +50,63 @@ struct FeatureEncoderOptions {
 // Number of quality channels when enabled.
 inline constexpr size_t kNumQualityChannels = 4;
 
+// Occurrence counts keyed by string_view, in an open-addressing table
+// with linear probing. The caller supplies each key's 64-bit hash, so a
+// hash computed for another purpose is reused as the table hash. Keys are
+// views: the bytes they point to must outlive the table.
+class StringCountTable {
+ public:
+  // Adds one occurrence of `key`.
+  void Add(std::string_view key, uint64_t hash);
+  // Occurrences of `key`; 0 when it was never added.
+  size_t Count(std::string_view key, uint64_t hash) const;
+  // Number of distinct keys.
+  size_t size() const { return size_; }
+
+ private:
+  struct Entry {
+    uint64_t hash = 0;
+    const char* data = nullptr;
+    size_t len = 0;
+    size_t count = 0;  // 0 marks an empty entry
+  };
+  size_t Home(uint64_t hash) const;
+  void Grow();
+
+  std::vector<Entry> entries_;  // power-of-two size, or empty
+  size_t size_ = 0;
+};
+
+// The per-slot statistics the encoder reads, one slot per (node type,
+// attribute): the numeric moments (NumericSlotStats, the definition
+// AttributeStats uses) and, for text values, whether the slot is key-like
+// and the per-token counts. Built without copying a string: token keys
+// are views into the graph, which must outlive the stats unmodified. Each
+// slot also carries its attribute name's FNV-1a hash prefixes (see
+// EncodeNode).
+class EncoderStats {
+ public:
+  explicit EncoderStats(const AttributedGraph& g);
+
+ private:
+  friend class FeatureEncoder;
+
+  struct Slot {
+    NumericStats numeric;
+    // More than 80% of the non-null text values are distinct (names,
+    // ids): token rarity carries no signal there.
+    bool key_like = false;
+    StringCountTable tokens;    // keyed by the token's bucket hash
+    uint64_t token_prefix = 0;  // FNV-1a state after "name="
+    uint64_t null_hash = 0;     // FNV-1a of "name=<null>"
+    uint64_t z_hash = 0;        // FNV-1a of "name#z"
+    uint64_t abs_hash = 0;      // FNV-1a of "name#abs"
+  };
+
+  std::vector<size_t> offsets_;  // AttributeSlotOffsets of the graph
+  std::vector<Slot> slots_;
+};
+
 class FeatureEncoder {
  public:
   explicit FeatureEncoder(FeatureEncoderOptions options = {})
@@ -57,8 +117,10 @@ class FeatureEncoder {
   util::Result<la::Matrix> Encode(const AttributedGraph& g) const;
 
   // Encodes a single node into a feature row of the same layout, reusing
-  // pre-computed stats (for incremental paths and tests).
-  void EncodeNode(const AttributedGraph& g, const AttributeStats& stats,
+  // pre-computed stats (for incremental paths and tests). `stats` may come
+  // from another graph with the same schema: a token it never counted
+  // reads as count 0.
+  void EncodeNode(const AttributedGraph& g, const EncoderStats& stats,
                   size_t v, double* row, size_t row_len) const;
 
   // Dimensionality of the raw (pre-PCA) encoding for graph `g`.

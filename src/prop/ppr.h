@@ -9,8 +9,9 @@
 // computed" and memoizes it. The cache can be disabled to reproduce the
 // U_GALE ablation.
 //
-// Batch prefetches run the power iteration blocked: up to `batch_size`
-// seeds are packed into an n x batch_size workspace matrix P and iterated
+// Batch prefetches run the power iteration blocked: a batch of up to
+// `batch_size` seeds is packed into an n x count state matrix P, stored at
+// stride count inside fixed n x batch_size workspace buffers, and iterated
 //   P <- alpha * E + (1 - alpha) * S * P
 // as one strided SpMM per sweep — a single CSR traversal per iteration for
 // the whole batch instead of one per seed — with per-seed convergence
@@ -41,8 +42,8 @@ struct PprOptions {
   double tolerance = 1e-8;
   bool cache_rows = true;
   // Seeds per blocked power-iteration batch in ComputeRows. Larger
-  // batches amortize the CSR traversal over more seeds (the gather's
-  // simd::Axpy vectorizes across the batch) at n x batch_size doubles of
+  // batches amortize the CSR traversal over more seeds (the gather
+  // vectorizes across the batch) at 2 x n x batch_size doubles of
   // workspace; results are bitwise identical at every setting. The SpMM
   // inside a batch is row-parallel, so the batch size is orthogonal to
   // GALE_NUM_THREADS.

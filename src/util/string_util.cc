@@ -20,13 +20,8 @@ std::vector<std::string> Split(std::string_view s, char delim) {
 
 std::vector<std::string> SplitWhitespace(std::string_view s) {
   std::vector<std::string> out;
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
-  }
+  ForEachWhitespaceToken(s,
+                         [&](std::string_view tok) { out.emplace_back(tok); });
   return out;
 }
 
@@ -89,15 +84,6 @@ size_t EditDistance(std::string_view a, std::string_view b,
     std::swap(prev, cur);
   }
   return prev[m];
-}
-
-uint64_t Fnv1aHash(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 std::string FormatDouble(double value, int decimals) {

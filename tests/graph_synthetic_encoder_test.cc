@@ -3,13 +3,17 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "eval/datasets.h"
 #include "graph/attribute_stats.h"
 #include "graph/constraints.h"
 #include "graph/feature_encoder.h"
 #include "graph/synthetic_dataset.h"
+#include "util/string_util.h"
 
 namespace gale::graph {
 namespace {
@@ -236,6 +240,83 @@ TEST(FeatureEncoderTest, RejectsZeroHashDims) {
   ASSERT_TRUE(ds.ok());
   FeatureEncoder encoder({.hash_dims = 0});
   EXPECT_FALSE(encoder.Encode(ds.value().graph).ok());
+}
+
+TEST(StringCountTableTest, CountsKeysThroughGrowthAndCollisions) {
+  // Keys with equal hashes stay distinct, and counts survive the rehashes
+  // of many doublings.
+  StringCountTable table;
+  EXPECT_EQ(table.Count("a", 7), 0u);
+  const std::string a = "a";
+  const std::string b = "b";
+  table.Add(a, 7);
+  table.Add(b, 7);
+  table.Add(a, 7);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 1000; ++i) keys.push_back(std::to_string(i));
+  for (const std::string& k : keys) table.Add(k, util::Fnv1aHash(k));
+  EXPECT_EQ(table.size(), 1002u);
+  EXPECT_EQ(table.Count("a", 7), 2u);
+  EXPECT_EQ(table.Count("b", 7), 1u);
+  EXPECT_EQ(table.Count("c", 7), 0u);
+  EXPECT_EQ(table.Count("a", 8), 0u);
+  for (const std::string& k : keys) {
+    EXPECT_EQ(table.Count(k, util::Fnv1aHash(k)), 1u) << k;
+  }
+}
+
+// FNV-1a over the shape and raw bytes of `m`.
+uint64_t MatrixDigest(const la::Matrix& m) {
+  std::string bytes = std::to_string(m.rows()) + "x" + std::to_string(m.cols());
+  bytes.append(reinterpret_cast<const char*>(m.data().data()),
+               m.size() * sizeof(double));
+  return util::Fnv1aHash(std::string_view(bytes));
+}
+
+TEST(FeatureEncoderTest, GoldenBits) {
+  // Pins the encoder's output bits across commits, on the injected (dirty)
+  // graphs of two bundled datasets: nulls, noise tokens and outliers
+  // included. The last option set covers PCA, the first the defaults.
+  // GAugment's synthetic rows are its polluted clone encoded against the
+  // clean statistics, so their digest covers tokens the statistics never
+  // saw. A change that is meant to move the features re-records these
+  // constants from the failure messages and says why.
+  const std::vector<std::pair<const char*, FeatureEncoderOptions>> options = {
+      {"defaults", {}},
+      {"hash_dims=32", {.hash_dims = 32}},
+      {"no type one-hot", {.include_type_onehot = false}},
+      {"no degree", {.include_degree = false}},
+      {"no quality", {.include_quality_channels = false}},
+      {"pca_dims=8", {.pca_dims = 8}},
+  };
+  const std::vector<std::pair<const char*, std::vector<uint64_t>>> golden = {
+      {"SP",
+       {0x57bfda554da633b2ULL, 0x08348cbdf9a3f77cULL, 0x324daee0d360a6b5ULL,
+        0x519b081599094c3eULL, 0xd0273de2daacb691ULL, 0x70b5de8170f07c9fULL,
+        0xe178d6f790a584ffULL}},
+      {"DM",
+       {0x4977b7e583a6b527ULL, 0xdb0124e64b45d25aULL, 0xf4bc4f674d4070b7ULL,
+        0x1358c9744ec5ab97ULL, 0xcf76427216b2da0eULL, 0x07833adcc8cea8edULL,
+        0x4e415bbea6e79b77ULL}},
+  };
+  for (const auto& [name, expected] : golden) {
+    auto spec = eval::DatasetByName(name, 0.1);
+    ASSERT_TRUE(spec.ok());
+    auto ds = eval::PrepareDataset(spec.value(), 3);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    const AttributedGraph& g = ds.value()->dirty;
+    for (size_t i = 0; i < options.size(); ++i) {
+      auto features = FeatureEncoder(options[i].second).Encode(g);
+      ASSERT_TRUE(features.ok());
+      const uint64_t digest = MatrixDigest(features.value());
+      EXPECT_EQ(digest, expected[i]) << name << " " << options[i].first
+                                     << std::hex << ": 0x" << digest;
+    }
+    const uint64_t synthetic =
+        MatrixDigest(ds.value()->features.x_synthetic);
+    EXPECT_EQ(synthetic, expected[options.size()])
+        << name << " x_synthetic" << std::hex << ": 0x" << synthetic;
+  }
 }
 
 }  // namespace

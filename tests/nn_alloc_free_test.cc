@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -195,6 +196,28 @@ TEST(AllocFreeTest, PprRecomputeWithCacheDisabled) {
     ASSERT_EQ(row, first);
   }
   EXPECT_EQ(la::BufferAllocations(), before);
+}
+
+TEST(AllocFreeTest, PprNarrowBatches) {
+  // The store's publish pattern: a persistent engine evicts a few rows and
+  // recomputes them as one narrow batch. Every width shares the fixed
+  // n x batch_size ping-pong buffers, so after the first call no width
+  // allocates an la buffer.
+  const size_t n = 40;
+  const la::SparseMatrix walk =
+      la::SparseMatrix::NormalizedAdjacency(n, RingEdges(n));
+  prop::PprEngine ppr(&walk, prop::PprOptions{.batch_size = 64});
+  const std::vector<size_t> seeds = {3, 11, 19, 27, 35};
+  ppr.ComputeRows(std::span<const size_t>(seeds.data(), 1));
+  const uint64_t before = la::BufferAllocations();
+  for (size_t width = 1; width <= seeds.size(); ++width) {
+    const std::span<const size_t> batch(seeds.data(), width);
+    ppr.EvictRows(batch);
+    ppr.ComputeRows(batch);
+    ASSERT_TRUE(ppr.IsCached(seeds[width - 1]));
+  }
+  EXPECT_EQ(la::BufferAllocations(), before)
+      << "narrow PPR batches allocated la buffers";
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "la/simd.h"
 #include "la/sparse_matrix.h"
 #include "prop/ppr.h"
 #include "util/parallel.h"
@@ -109,6 +110,49 @@ TEST(PprBatchEquivalenceTest, MatchesSerialRowsZeroIterations) {
   PprOptions options;
   options.max_iterations = 0;
   CheckBatchedMatchesSerial(options);
+}
+
+TEST(PprBatchEquivalenceTest, NarrowBatchesMatchSerialRows) {
+  // The store's shapes: batches of 1-5 seeds, laid out at stride = width,
+  // and 65 seeds at batch_size 64, whose last batch is a single seed. The
+  // reference is Row(v) under the scalar tier at one thread; every ISA
+  // and thread count must reproduce it byte for byte.
+  const size_t n = 131;
+  la::SparseMatrix walk = RandomWalkMatrix(n, 260, /*seed=*/4321);
+  std::vector<std::vector<size_t>> seed_lists;
+  for (size_t len = 1; len <= 5; ++len) {
+    std::vector<size_t> seeds;
+    for (size_t j = 0; j < len; ++j) seeds.push_back((j * 37 + len) % n);
+    seed_lists.push_back(seeds);
+  }
+  std::vector<size_t> ragged;
+  for (size_t j = 0; j < 65; ++j) ragged.push_back((j * 2) % n);
+  seed_lists.push_back(ragged);
+
+  std::vector<std::vector<double>> reference(n);
+  {
+    la::simd::ScopedIsaOverride pin(la::simd::Isa::kScalar);
+    util::ScopedParallelism p(1);
+    PprEngine serial(&walk);
+    for (size_t v = 0; v < n; ++v) reference[v] = serial.Row(v);
+  }
+  for (la::simd::Isa isa : {la::simd::Isa::kScalar, la::simd::Isa::kAvx2}) {
+    la::simd::ScopedIsaOverride pin(isa);
+    for (int threads : {1, 4}) {
+      util::ScopedParallelism p(threads);
+      for (const std::vector<size_t>& seeds : seed_lists) {
+        SCOPED_TRACE(::testing::Message()
+                     << seeds.size() << " seeds, isa "
+                     << la::simd::IsaName(la::simd::ActiveIsa()));
+        PprEngine batched(&walk, PprOptions{.batch_size = 64});
+        batched.ComputeRows(seeds);
+        EXPECT_EQ(batched.num_computed_rows(), seeds.size());
+        for (size_t v : seeds) {
+          ExpectBytesEqual(batched.Row(v), reference[v], v, 64, threads);
+        }
+      }
+    }
+  }
 }
 
 TEST(PprBatchEquivalenceTest, PartiallyCachedBatchOnlyComputesMissing) {

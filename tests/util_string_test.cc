@@ -1,5 +1,11 @@
 #include "util/string_util.h"
 
+#include <cctype>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace gale::util {
@@ -17,6 +23,41 @@ TEST(SplitWhitespaceTest, DropsRuns) {
             (std::vector<std::string>{"foo", "bar", "baz"}));
   EXPECT_TRUE(SplitWhitespace("   ").empty());
   EXPECT_TRUE(SplitWhitespace("").empty());
+}
+
+// The tokens ForEachWhitespaceToken visits, copied.
+std::vector<std::string> VisitedTokens(std::string_view s) {
+  std::vector<std::string> out;
+  ForEachWhitespaceToken(s, [&](std::string_view tok) {
+    EXPECT_FALSE(tok.empty());
+    out.emplace_back(tok);
+  });
+  return out;
+}
+
+TEST(SplitWhitespaceTest, VisitorAndSplitAgree) {
+  const std::string high = "caf\xc3\xa9 \x80\xff\xa0x";
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {
+          {"a\tb\nc\vd\fe\rf", {"a", "b", "c", "d", "e", "f"}},
+          {"a \t\n\v\f\r  b", {"a", "b"}},
+          {"  \t lead", {"lead"}},
+          {"trail \n\f", {"trail"}},
+          {"", {}},
+          {" \t\n\v\f\r", {}},
+          {"one", {"one"}},
+          // Bytes >= 0x80 (UTF-8 and stray high bytes, 0xa0 included) are
+          // token bytes, never separators.
+          {high, {"caf\xc3\xa9", "\x80\xff\xa0x"}},
+      };
+  for (const auto& [text, want] : cases) {
+    EXPECT_EQ(VisitedTokens(text), want) << "visitor on '" << text << "'";
+    EXPECT_EQ(SplitWhitespace(text), want) << "split on '" << text << "'";
+  }
+  for (int c = 0; c < 256; ++c) {
+    const char ch = static_cast<char>(c);
+    EXPECT_EQ(IsAsciiSpace(ch), c < 128 && std::isspace(c) != 0) << c;
+  }
 }
 
 TEST(JoinTest, Joins) {
@@ -81,6 +122,18 @@ TEST(FnvHashTest, StableAndSpreads) {
   EXPECT_EQ(Fnv1aHash("abc"), Fnv1aHash("abc"));
   EXPECT_NE(Fnv1aHash("abc"), Fnv1aHash("abd"));
   EXPECT_NE(Fnv1aHash(""), Fnv1aHash("a"));
+}
+
+TEST(FnvHashTest, ExtendContinuesAPrefix) {
+  EXPECT_EQ(Fnv1aHash(""), kFnv1aOffsetBasis);
+  for (const auto& [a, b] : std::vector<std::pair<std::string, std::string>>{
+           {"name=", "token"}, {"", "abc"}, {"abc", ""}, {"x#", "z"},
+           {"caf\xc3", "\xa9\xff"}}) {
+    EXPECT_EQ(Fnv1aExtend(Fnv1aHash(a), b), Fnv1aHash(a + b)) << a << b;
+  }
+  // The state after a prefix can be extended piecewise.
+  EXPECT_EQ(Fnv1aExtend(Fnv1aExtend(Fnv1aHash("n"), "ame="), "tok"),
+            Fnv1aHash("name=tok"));
 }
 
 TEST(FormatDoubleTest, Formats) {
