@@ -2,11 +2,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
 #include "prop/label_propagation.h"
 #include "prop/ppr.h"
+#include "util/string_util.h"
 
 namespace gale::prop {
 namespace {
@@ -220,6 +222,36 @@ TEST(LabelPropagationTest, UnreachableNodesFallBack) {
   EXPECT_EQ(hard[3], -7);
   EXPECT_EQ(hard[4], -7);
   EXPECT_EQ(hard[1], 0);
+}
+
+TEST(LabelPropagationTest, GoldenBits) {
+  // Pins the soft labels bit for bit at 2 classes (the selector's width)
+  // and at 15 (the gather's 8-wide, 4-wide and leftover columns), on a
+  // ring with chords and a hub; every seventh node is a seed.
+  constexpr size_t kNodes = 211;
+  std::vector<std::pair<size_t, size_t>> edges;
+  for (size_t v = 0; v < kNodes; ++v) {
+    edges.emplace_back(v, (v + 1) % kNodes);
+    if (v % 5 == 0) edges.emplace_back(v, (v + 37) % kNodes);
+    if (v % 4 == 2) edges.emplace_back(3, v);
+  }
+  la::SparseMatrix walk = la::SparseMatrix::NormalizedAdjacency(kNodes, edges);
+  const std::pair<size_t, uint64_t> goldens[] = {
+      {2, 0xa184620e25e3044eULL}, {15, 0x9c6a876463004616ULL}};
+  for (const auto& [num_classes, golden] : goldens) {
+    std::vector<int> labels(kNodes, -1);
+    for (size_t v = 0; v < kNodes; v += 7) {
+      labels[v] = static_cast<int>((v / 7) % num_classes);
+    }
+    auto soft = PropagateLabels(walk, labels, num_classes);
+    ASSERT_TRUE(soft.ok());
+    const la::Matrix& f = soft.value();
+    const uint64_t hash = util::Fnv1aHash(std::string_view(
+        reinterpret_cast<const char*>(f.data().data()),
+        f.size() * sizeof(double)));
+    EXPECT_EQ(hash, golden) << num_classes << " classes: 0x" << std::hex
+                            << hash;
+  }
 }
 
 TEST(LabelPropagationTest, MissingClassColumnStaysZero) {
