@@ -121,6 +121,24 @@ void BM_SpMM(benchmark::State& state) {
 }
 BENCHMARK(BM_SpMM)->Arg(1000)->Arg(4000);
 
+// SpMM at d = 2 into a warm buffer: one label-propagation sweep on a
+// two-class selector graph of SP's size.
+void BM_SpMMNarrow(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  la::SparseMatrix adj = RandomAdjacency(n, n * 3, 2);
+  util::Rng rng(3);
+  la::Matrix x = la::Matrix::RandomNormal(n, 2, 1.0, rng);
+  la::Matrix out;
+  adj.MultiplyInto(x, &out);
+  for (auto _ : state) {
+    adj.MultiplyInto(x, &out);
+    benchmark::DoNotOptimize(out.RowPtr(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * adj.nnz() * 2);
+}
+BENCHMARK(BM_SpMMNarrow)->Arg(4400);
+
 void BM_PprRow(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   la::SparseMatrix adj = RandomAdjacency(n, n * 3, 4);
@@ -285,11 +303,9 @@ void BM_SimdAdamUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdAdamUpdate)->Arg(1024)->Arg(1027);
 
-// Fused vs unfused GCN forward at a full-batch layer shape. Both paths
-// produce bitwise-identical outputs (asserted in nn_layers_test); the
-// delta here is the whole-matrix bias/activation temporaries the fused
-// epilogue removes from the SpMM sweep.
-void BM_GcnForwardFused(benchmark::State& state) {
+// GCN forward at a full-batch layer shape: X W, the SpMM, the bias
+// broadcast and the in-place relu sweep.
+void BM_GcnForward(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   la::SparseMatrix adj = RandomAdjacency(n, n * 3, 21);
   util::Rng rng(22);
@@ -302,23 +318,7 @@ void BM_GcnForwardFused(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * adj.nnz() * 32);
 }
-BENCHMARK(BM_GcnForwardFused)->Arg(4000);
-
-void BM_GcnForwardUnfused(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  la::SparseMatrix adj = RandomAdjacency(n, n * 3, 21);
-  util::Rng rng(22);
-  nn::GcnLayer layer(&adj, 64, 32, rng,
-                     {.activation = nn::GcnActivation::kRelu,
-                      .fuse_epilogue = false});
-  la::Matrix x = la::Matrix::RandomNormal(n, 64, 1.0, rng);
-  (void)layer.Forward(x, /*training=*/false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(layer.Forward(x, /*training=*/false));
-  }
-  state.SetItemsProcessed(state.iterations() * adj.nnz() * 32);
-}
-BENCHMARK(BM_GcnForwardUnfused)->Arg(4000);
+BENCHMARK(BM_GcnForward)->Arg(4000);
 
 void BM_QSelectGreedy(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

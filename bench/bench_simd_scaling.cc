@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   la::Matrix at_out;
   la::Matrix abt_out;
   // SpMM on a 16k-node graph with d=64 features (GCN-layer shape);
-  // GatherRows is the memory-bound end of the sweep.
+  // the CSR gather is the memory-bound end of the sweep.
   la::SparseMatrix adj = RandomAdjacency(16000, 48000, 11);
   la::Matrix x = la::Matrix::RandomNormal(16000, 64, 1.0, rng);
   la::Matrix spmm_out;

@@ -44,7 +44,7 @@ void BuildCentroidPanels(const Matrix& centroids, Matrix* panels) {
 // kernel call, and the argmin scans the centroids in ascending order
 // (first minimum wins). noinline keeps the distance loop out of the
 // ParallelForShards closure, where the live closure pointer degrades
-// register allocation (see GatherRows in sparse_matrix.cc).
+// register allocation (it forces the inner-loop bounds onto the stack).
 __attribute__((noinline)) void AssignShard(const Matrix& data,
                                            const Matrix& panels, size_t k,
                                            size_t i0, size_t i1,

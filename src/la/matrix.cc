@@ -181,8 +181,6 @@ void Matrix::EnsureShape(size_t rows, size_t cols) {
   data_.resize(n);
 }
 
-Matrix Matrix::Zeros(size_t rows, size_t cols) { return Matrix(rows, cols); }
-
 Matrix Matrix::Identity(size_t n) {
   Matrix m(n, n);
   for (size_t i = 0; i < n; ++i) m.At(i, i) = 1.0;
@@ -216,17 +214,6 @@ Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
     for (size_t c = 0; c < m.cols_; ++c) m.At(r, c) = rows[r][c];
   }
   return m;
-}
-
-std::vector<double> Matrix::RowVector(size_t r) const {
-  GALE_CHECK_LT(r, rows_);
-  return std::vector<double>(RowPtr(r), RowPtr(r) + cols_);
-}
-
-void Matrix::SetRow(size_t r, const std::vector<double>& values) {
-  GALE_CHECK_LT(r, rows_);
-  GALE_CHECK_EQ(values.size(), cols_);
-  std::copy(values.begin(), values.end(), RowPtr(r));
 }
 
 Matrix& Matrix::operator+=(const Matrix& other) {
@@ -453,14 +440,6 @@ double Matrix::FrobeniusNorm() const {
   double acc = 0.0;
   for (double v : data_) acc += v * v;
   return std::sqrt(acc);
-}
-
-double Matrix::RowSquaredNorm(size_t r) const {
-  GALE_CHECK_LT(r, rows_);
-  const double* row = RowPtr(r);
-  double acc = 0.0;
-  for (size_t c = 0; c < cols_; ++c) acc += row[c] * row[c];
-  return acc;
 }
 
 Matrix Matrix::SelectRows(const std::vector<size_t>& row_indices) const {

@@ -65,7 +65,6 @@ class Matrix {
   Matrix& operator=(Matrix&&) = default;
 
   // Factory helpers.
-  static Matrix Zeros(size_t rows, size_t cols);
   static Matrix Identity(size_t n);
   // Entries i.i.d. uniform in [-scale, scale].
   static Matrix RandomUniform(size_t rows, size_t cols, double scale,
@@ -107,11 +106,6 @@ class Matrix {
     GALE_DCHECK_LE(r, rows_);
     return data_.data() + r * cols_;
   }
-
-  // Copies row `r` out as a vector.
-  std::vector<double> RowVector(size_t r) const;
-  // Overwrites row `r` with `values` (size must equal cols()).
-  void SetRow(size_t r, const std::vector<double>& values);
 
   simd::AlignedVector& data() { return data_; }
   const simd::AlignedVector& data() const { return data_; }
@@ -186,8 +180,6 @@ class Matrix {
   double Sum() const;
   // Frobenius norm.
   double FrobeniusNorm() const;
-  // Squared L2 norm of row r.
-  double RowSquaredNorm(size_t r) const;
 
   // Extracts the sub-matrix of the given rows (in the given order).
   Matrix SelectRows(const std::vector<size_t>& row_indices) const;

@@ -333,11 +333,6 @@ inline void Scale(double* out, const double* a, double s, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) out[j] = a[j] * s;
 }
 
-inline void Mul(double* out, const double* a, const double* b,
-                std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) out[j] = a[j] * b[j];
-}
-
 inline void AddAssign(double* out, const double* x, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) out[j] += x[j];
 }
@@ -681,16 +676,6 @@ GALE_SIMD_AVX2 void Scale(double* out, const double* a, double s,
   for (; j < n; ++j) out[j] = a[j] * s;
 }
 
-GALE_SIMD_AVX2 void Mul(double* out, const double* a, const double* b,
-                        std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(
-        out + j, _mm256_mul_pd(_mm256_loadu_pd(a + j), _mm256_loadu_pd(b + j)));
-  }
-  for (; j < n; ++j) out[j] = a[j] * b[j];
-}
-
 GALE_SIMD_AVX2 void AddAssign(double* out, const double* x, std::size_t n) {
   std::size_t j = 0;
   for (; j + 4 <= n; j += 4) {
@@ -1017,11 +1002,6 @@ inline void Sub(double* out, const double* a, const double* b,
 
 inline void Scale(double* out, const double* a, double s, std::size_t n) {
   GALE_SIMD_DISPATCH(Scale(out, a, s, n))
-}
-
-inline void Mul(double* out, const double* a, const double* b,
-                std::size_t n) {
-  GALE_SIMD_DISPATCH(Mul(out, a, b, n))
 }
 
 inline void AddAssign(double* out, const double* x, std::size_t n) {

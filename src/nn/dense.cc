@@ -70,8 +70,7 @@ void Dense::BackwardParams(const la::Matrix& grad_output) {
     input_cache_.TransposedMatMulInto(grad_output, &grad_weight_,
                                       /*accumulate=*/true);
   } else {
-    head_->GroupedTransposedMultiplyInto(grad_output, &grad_weight_,
-                                         /*accumulate=*/true);
+    head_->GroupedTransposedMultiplyInto(grad_output, &grad_weight_);
     tail_grad_.EnsureShape(input_cache_.rows(), grad_output.cols());
     std::copy(grad_output.RowPtr(h), grad_output.RowPtr(grad_output.rows()),
               tail_grad_.RowPtr(0));

@@ -98,7 +98,6 @@ TEST(MatrixTest, ColumnAggregates) {
 TEST(MatrixTest, NormsAndDistances) {
   Matrix m = Matrix::FromRows({{3, 4}, {0, 0}});
   EXPECT_DOUBLE_EQ(m.FrobeniusNorm(), 5.0);
-  EXPECT_DOUBLE_EQ(m.RowSquaredNorm(0), 25.0);
   EXPECT_DOUBLE_EQ(m.RowDistanceSquared(0, m, 1), 25.0);
 }
 
@@ -108,14 +107,6 @@ TEST(MatrixTest, SelectRows) {
   EXPECT_EQ(sel.rows(), 2u);
   EXPECT_DOUBLE_EQ(sel.At(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(sel.At(1, 0), 1.0);
-}
-
-TEST(MatrixTest, RowVectorRoundTrip) {
-  Matrix m = Matrix::FromRows({{1, 2, 3}});
-  std::vector<double> row = m.RowVector(0);
-  EXPECT_EQ(row, (std::vector<double>{1, 2, 3}));
-  m.SetRow(0, {4, 5, 6});
-  EXPECT_DOUBLE_EQ(m.At(0, 2), 6.0);
 }
 
 TEST(MatrixTest, AllClose) {

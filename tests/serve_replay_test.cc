@@ -20,6 +20,7 @@
 #include "la/matrix.h"
 #include "la/sparse_matrix.h"
 #include "serve/snapshot.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -204,6 +205,68 @@ TEST(ServeReplayTest, ScoreAfterStopIsFailedPrecondition) {
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), util::StatusCode::kFailedPrecondition);
   batcher.Stop();  // idempotent
+}
+
+TEST(ServeReplayTest, StopWithCallersBlockedServesOrRefusesEachCall) {
+  // Callers keep requests in flight while another thread calls Stop():
+  // each call either returns the serial reference's bytes (accepted before
+  // the stop, then drained) or fails with kFailedPrecondition (arrived
+  // after). Every caller ends on such a refusal, so none hangs.
+  ScoringSnapshot snap = MakeSnapshot();
+  const std::vector<NodeScore> ref = SerialReference(snap);
+  for (int threads : {1, 4}) {
+    util::ScopedParallelism parallelism(threads);
+    ServeOptions options;
+    options.max_batch = 8;
+    options.max_wait_micros = 50;
+    RequestBatcher batcher(&snap, options);
+
+    constexpr size_t kCallers = 6;
+    std::atomic<size_t> served{0};
+    std::atomic<size_t> refused{0};
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> callers;
+    for (size_t t = 0; t < kCallers; ++t) {
+      callers.emplace_back([&, t] {
+        for (bool reversed = false;; reversed = !reversed) {
+          for (const std::vector<size_t>& ids :
+               RequestsForThread(t, reversed)) {
+            ScoreRequest request;
+            request.node_ids = ids;
+            auto scores = batcher.Score(request);
+            if (!scores.ok()) {
+              if (scores.status().code() ==
+                  util::StatusCode::kFailedPrecondition) {
+                refused.fetch_add(1);
+              } else {
+                wrong.fetch_add(1000);
+              }
+              return;
+            }
+            for (size_t i = 0; i < ids.size(); ++i) {
+              if (std::memcmp(&scores.value()[i], &ref[ids[i]],
+                              sizeof(NodeScore)) != 0) {
+                wrong.fetch_add(1);
+              }
+            }
+            served.fetch_add(1);
+          }
+        }
+      });
+    }
+    while (served.load() < 2 * kCallers) std::this_thread::yield();
+    std::thread stopper([&] { batcher.Stop(); });
+    stopper.join();
+    for (std::thread& c : callers) c.join();
+
+    EXPECT_EQ(wrong.load(), 0) << "threads=" << threads;
+    EXPECT_EQ(refused.load(), kCallers) << "threads=" << threads;
+    // Every accepted request completed: the worker counted exactly the
+    // calls that returned scores.
+    EXPECT_EQ(batcher.ObsReport().CounterOr("gale.serve.requests"),
+              served.load())
+        << "threads=" << threads;
+  }
 }
 
 TEST(ServeReplayTest, OutOfRangeNodeIsInvalidArgument) {
