@@ -148,7 +148,8 @@ TEST(IntoEquivalenceTest, SparseMultiplyVector) {
   std::vector<double> v(30);
   for (double& x : v) x = rng.Normal(0.0, 1.0);
 
-  const std::vector<double> expected = s.MultiplyVector(v);
+  std::vector<double> expected;
+  s.MultiplyVectorInto(v, &expected);
   std::vector<double> out(7, kPoison);  // wrong size + poisoned
   s.MultiplyVectorInto(v, &out);
   ASSERT_EQ(expected.size(), out.size());

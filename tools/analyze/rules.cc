@@ -360,8 +360,8 @@ void CheckHotPathAlloc(const std::string& file, const FileClass& fc,
   // `MatMul`.
   static const std::set<std::string> kAllocating = {
       "MatMul",        "TransposedMatMul", "MatMulTransposed",
-      "Transposed",    "Multiply",         "MultiplyVector",
-      "SelectRows",    "ColSum",           "ColMean",
+      "Transposed",    "Multiply",         "SelectRows",
+      "ColSum",        "ColMean",
   };
   const Tokens& toks = tf.tokens;
   for (size_t i = 0; i < toks.size(); ++i) {
