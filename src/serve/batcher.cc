@@ -30,11 +30,20 @@ RequestBatcher::RequestBatcher(const ScoringSnapshot* snapshot,
   GALE_CHECK(snapshot != nullptr);
   init_status_ = options_.Validate().status();
   if (!init_status_.ok()) {
-    worker_joined_ = true;  // no worker to join; Score reports the status
+    drained_ = true;  // nothing can ever queue; Score reports the status
     return;
   }
-  worker_ = std::thread([this] { WorkerLoop(); });
+  leader_.emplace(snapshot_, options_.max_batch, &registry_);
 }
+
+RequestBatcher::LeaderState::LeaderState(const ScoringSnapshot* snapshot,
+                                         size_t max_batch,
+                                         obs::Registry* registry)
+    : scorer(snapshot, max_batch),
+      queue_depth(registry->gauge("gale.serve.queue_depth")),
+      batch_size(registry->histogram("gale.serve.batch_size")),
+      stamp(snapshot->num_nodes(), 0),
+      slot(snapshot->num_nodes(), 0) {}
 
 RequestBatcher::~RequestBatcher() { Stop(); }
 
@@ -68,141 +77,130 @@ util::Result<std::vector<NodeScore>> RequestBatcher::Score(
   accepted_nodes_ += request.node_ids.size();
   pending_nodes_ += request.node_ids.size();
   queue_.push_back(&pending);
-  queue_cv_.notify_one();
-  done_cv_.wait(lock, [&] { return pending.done; });
+  // Lead batches until ours is scored, or wait while another caller leads.
+  // Batches are cut FIFO, so every batch this caller leads brings its own
+  // request closer to the front.
+  while (!pending.done) {
+    if (leading_) {
+      done_cv_.wait(lock);
+    } else {
+      LeadBatch(lock);
+    }
+  }
   return std::move(pending.scores);
 }
 
 void RequestBatcher::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_ && worker_joined_) return;
-    stop_ = true;
-  }
-  queue_cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
-  std::lock_guard<std::mutex> lock(mu_);
-  worker_joined_ = true;
+  std::unique_lock<std::mutex> lock(mu_);
+  stop_ = true;
+  // Callers whose requests are still queued keep leading until the queue
+  // is empty.
+  done_cv_.wait(lock, [&] { return queue_.empty() && !leading_; });
+  if (drained_) return;
+  drained_ = true;
+  registry_.counter("gale.serve.requests")->Increment(accepted_requests_);
+  registry_.counter("gale.serve.nodes")->Increment(accepted_nodes_);
+  registry_.counter("gale.serve.rejected")->Increment(rejected_requests_);
 }
 
 obs::Report RequestBatcher::ObsReport() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    GALE_CHECK(worker_joined_)
-        << " RequestBatcher::ObsReport before Stop() ";
+    GALE_CHECK(drained_) << " RequestBatcher::ObsReport before Stop() ";
   }
   return obs::Snapshot(&registry_, &trace_);
 }
 
-void RequestBatcher::WorkerLoop() {
-  obs::ScopedObs obs_context(&trace_, &registry_);
-  obs::Gauge* queue_depth = registry_.gauge("gale.serve.queue_depth");
-  obs::Histogram* batch_size = registry_.histogram("gale.serve.batch_size");
-  SnapshotScorer scorer(snapshot_, options_.max_batch);
+void RequestBatcher::LeadBatch(std::unique_lock<std::mutex>& lock) {
+  leading_ = true;
+  LeaderState& state = *leader_;
 
-  // Epoch-stamped dedup over node ids (the PprEngine pattern): no
-  // per-batch hash set, O(1) membership, one epoch bump per batch.
-  const size_t n = snapshot_->num_nodes();
-  std::vector<uint64_t> stamp(n, 0);
-  std::vector<size_t> slot(n, 0);
-  uint64_t epoch = 0;
-  std::vector<size_t> batch_nodes;       // unique ids, arrival order
-  std::vector<NodeScore> batch_scores;   // parallel to batch_nodes
-  std::vector<size_t> chunk;             // <= max_batch slice for the scorer
-  std::vector<Pending*> taken;
-
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    queue_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) break;  // stop_ set and fully drained
-
-    // Coalescing window. A timed condvar wait cannot express a
-    // microsecond-scale window (kernel timer slack alone is ~50us), so
-    // linger by arrival quiescence instead: release the lock, yield, and
-    // re-inspect; cut once no new node arrived across two consecutive
-    // polls, the pending count reaches the batch target, or Stop. The
-    // poll budget grows with max_wait_micros so the knob keeps its
-    // meaning as an approximate upper bound on added delay; 0 disables
-    // lingering entirely. Every poll either observes growth (bounded by
-    // max_batch) or bumps the quiet counter, so the loop terminates
-    // regardless of caller behavior.
-    if (!stop_ && pending_nodes_ < options_.max_batch &&
-        options_.max_wait_micros > 0) {
-      const int64_t budget =
-          std::min<int64_t>(16, std::max<int64_t>(2, options_.max_wait_micros / 8));
-      int quiet = 0;
-      size_t seen = pending_nodes_;
-      for (int64_t poll = 0; poll < budget && quiet < 2 && !stop_ &&
-                             pending_nodes_ < options_.max_batch;
-           ++poll) {
-        lock.unlock();
-        std::this_thread::yield();
-        lock.lock();
-        if (pending_nodes_ == seen) {
-          ++quiet;
-        } else {
-          quiet = 0;
-          seen = pending_nodes_;
-        }
+  // Coalescing window. A timed condvar wait cannot express a
+  // microsecond-scale window (kernel timer slack alone is ~50us), so
+  // linger by arrival quiescence instead: release the lock, yield, and
+  // re-inspect; cut once no new node arrived across two consecutive
+  // polls, the pending count reaches the batch target, or Stop. The
+  // poll budget grows with max_wait_micros so the knob keeps its
+  // meaning as an approximate upper bound on added delay; 0 disables
+  // lingering entirely. Every poll either observes growth (bounded by
+  // max_batch) or bumps the quiet counter, so the loop terminates
+  // regardless of caller behavior.
+  if (!stop_ && pending_nodes_ < options_.max_batch &&
+      options_.max_wait_micros > 0) {
+    const int64_t budget =
+        std::min<int64_t>(16, std::max<int64_t>(2, options_.max_wait_micros / 8));
+    int quiet = 0;
+    size_t seen = pending_nodes_;
+    for (int64_t poll = 0; poll < budget && quiet < 2 && !stop_ &&
+                           pending_nodes_ < options_.max_batch;
+         ++poll) {
+      lock.unlock();
+      std::this_thread::yield();
+      lock.lock();
+      if (pending_nodes_ == seen) {
+        ++quiet;
+      } else {
+        quiet = 0;
+        seen = pending_nodes_;
       }
     }
-
-    // Cut a batch: whole requests, FIFO, until the unique node count
-    // reaches max_batch (always at least one request — an oversized
-    // request is taken alone and chunked below).
-    taken.clear();
-    batch_nodes.clear();
-    ++epoch;
-    while (!queue_.empty()) {
-      Pending* p = queue_.front();
-      if (!taken.empty() && batch_nodes.size() >= options_.max_batch) break;
-      queue_.pop_front();
-      pending_nodes_ -= p->nodes->size();
-      taken.push_back(p);
-      for (size_t v : *p->nodes) {
-        if (stamp[v] != epoch) {
-          stamp[v] = epoch;
-          slot[v] = batch_nodes.size();
-          batch_nodes.push_back(v);
-        }
-      }
-    }
-    queue_depth->Set(static_cast<double>(pending_nodes_));
-    lock.unlock();
-
-    {
-      obs::Span span("gale.serve.batch");
-      span.Arg("requests", static_cast<double>(taken.size()));
-      span.Arg("unique_nodes", static_cast<double>(batch_nodes.size()));
-      batch_size->Record(batch_nodes.size());
-      batch_scores.resize(batch_nodes.size());
-      for (size_t off = 0; off < batch_nodes.size();
-           off += options_.max_batch) {
-        const size_t len =
-            std::min(options_.max_batch, batch_nodes.size() - off);
-        chunk.assign(batch_nodes.begin() + static_cast<ptrdiff_t>(off),
-                     batch_nodes.begin() + static_cast<ptrdiff_t>(off + len));
-        scorer.ScoreInto(chunk, batch_scores.data() + off);
-      }
-      // Fan the deduplicated scores back out to every taken request.
-      for (Pending* p : taken) {
-        const std::vector<size_t>& ids = *p->nodes;
-        for (size_t i = 0; i < ids.size(); ++i) {
-          p->scores[i] = batch_scores[slot[ids[i]]];
-        }
-      }
-    }
-
-    lock.lock();
-    for (Pending* p : taken) p->done = true;
-    done_cv_.notify_all();
   }
 
-  // Drained and stopping (lock still held): fold the caller-side totals
-  // into the worker's registry so the report carries them.
-  registry_.counter("gale.serve.requests")->Increment(accepted_requests_);
-  registry_.counter("gale.serve.nodes")->Increment(accepted_nodes_);
-  registry_.counter("gale.serve.rejected")->Increment(rejected_requests_);
+  // Cut a batch: whole requests, FIFO, until the unique node count
+  // reaches max_batch (always at least one request — an oversized
+  // request is taken alone and chunked below).
+  state.taken.clear();
+  state.batch_nodes.clear();
+  ++state.epoch;
+  while (!queue_.empty()) {
+    Pending* p = queue_.front();
+    if (!state.taken.empty() &&
+        state.batch_nodes.size() >= options_.max_batch) {
+      break;
+    }
+    queue_.pop_front();
+    pending_nodes_ -= p->nodes->size();
+    state.taken.push_back(p);
+    for (size_t v : *p->nodes) {
+      if (state.stamp[v] != state.epoch) {
+        state.stamp[v] = state.epoch;
+        state.slot[v] = state.batch_nodes.size();
+        state.batch_nodes.push_back(v);
+      }
+    }
+  }
+  state.queue_depth->Set(static_cast<double>(pending_nodes_));
+  lock.unlock();
+
+  {
+    obs::ScopedObs obs_context(&trace_, &registry_);
+    obs::Span span("gale.serve.batch");
+    span.Arg("requests", static_cast<double>(state.taken.size()));
+    span.Arg("unique_nodes", static_cast<double>(state.batch_nodes.size()));
+    state.batch_size->Record(state.batch_nodes.size());
+    state.batch_scores.resize(state.batch_nodes.size());
+    for (size_t off = 0; off < state.batch_nodes.size();
+         off += options_.max_batch) {
+      const size_t len =
+          std::min(options_.max_batch, state.batch_nodes.size() - off);
+      state.chunk.assign(
+          state.batch_nodes.begin() + static_cast<ptrdiff_t>(off),
+          state.batch_nodes.begin() + static_cast<ptrdiff_t>(off + len));
+      state.scorer.ScoreInto(state.chunk, state.batch_scores.data() + off);
+    }
+    // Fan the deduplicated scores back out to every taken request.
+    for (Pending* p : state.taken) {
+      const std::vector<size_t>& ids = *p->nodes;
+      for (size_t i = 0; i < ids.size(); ++i) {
+        p->scores[i] = state.batch_scores[state.slot[ids[i]]];
+      }
+    }
+  }
+
+  lock.lock();
+  for (Pending* p : state.taken) p->done = true;
+  leading_ = false;
+  done_cv_.notify_all();
 }
 
 }  // namespace gale::serve

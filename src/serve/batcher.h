@@ -1,22 +1,27 @@
 // Coalescing request batcher over a ScoringSnapshot (DESIGN.md §13).
 //
 // Callers from any thread submit ScoreRequests and block until their
-// scores are ready. A single worker thread drains the queue: it lingers
-// briefly (arrival-quiescence polling, bounded by max_wait_micros) for
-// the pending node count to reach max_batch,
-// coalesces the queued requests into one deduplicated node batch
-// (epoch-stamped — a node asked for by five concurrent requests is scored
-// once), runs one fused snapshot forward over the batch on the scorer's
-// allocation-free workspaces, and fans the per-node scores back out to
-// every waiting request.
+// scores are ready. The batcher owns no thread: batches run on the
+// callers' own threads (flat combining). A caller that queues a request
+// while no batch is in progress becomes the leader. It lingers briefly
+// (arrival-quiescence polling, bounded by max_wait_micros) for the
+// pending node count to reach max_batch, coalesces the queued requests
+// into one deduplicated node batch (epoch-stamped — a node asked for by
+// five concurrent requests is scored once), runs one fused snapshot
+// forward over the batch on the batcher's allocation-free scorer, fans
+// the per-node scores back out to every request it took, and wakes the
+// waiters. It keeps leading batches until its own request is done; a
+// woken caller whose request is still queued leads the next batch. So at
+// most one batch runs at a time, and a lone caller never pays a thread
+// hand-off.
 //
 // Determinism: each node's scores come out of SnapshotScorer::ScoreInto,
 // whose kernels compute every output row from only the matching input row
 // with a fixed accumulation order. Batch composition, arrival order,
-// coalescing timing, and GALE_NUM_THREADS therefore cannot change a
-// single bit of any node's scores — serve_replay_test memcmp's the
-// batcher's output against a serial one-node-at-a-time reference across
-// all of those axes.
+// which caller leads, coalescing timing, and GALE_NUM_THREADS therefore
+// cannot change a single bit of any node's scores — serve_replay_test
+// memcmp's the batcher's output against a serial one-node-at-a-time
+// reference across all of those axes.
 //
 // Error codes (assert on code(), not message text):
 //   kInvalidArgument     — node id out of range, or bad ServeOptions.
@@ -25,13 +30,14 @@
 //                          queue_capacity. The caller retries later.
 //   kFailedPrecondition  — Score after Stop.
 //
-// Observability: the worker owns a private Trace + Registry (logical time
-// under GALE_OBS_LOGICAL_TIME=1). Every batch runs inside a
-// "gale.serve.batch" span (the span's auto-histogram is the batch latency
-// distribution), records the batch size into gale.serve.batch_size, and
-// refreshes the gale.serve.queue_depth gauge. Request/rejection totals
-// are folded into counters when the worker drains. ObsReport() snapshots
-// it all after Stop.
+// Observability: the batcher owns a private Trace + Registry (logical
+// time under GALE_OBS_LOGICAL_TIME=1), which the leader installs on its
+// own thread for the batch; mu_ hands them from one leader to the next.
+// Every batch runs inside a "gale.serve.batch" span (the span's
+// auto-histogram is the batch latency distribution), records the batch
+// size into gale.serve.batch_size, and refreshes the
+// gale.serve.queue_depth gauge. Request/rejection totals are folded into
+// counters when Stop drains. ObsReport() snapshots it all after Stop.
 
 #ifndef GALE_SERVE_BATCHER_H_
 #define GALE_SERVE_BATCHER_H_
@@ -41,7 +47,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <thread>
+#include <optional>
 #include <vector>
 
 #include "obs/report.h"
@@ -54,10 +60,10 @@ namespace gale::serve {
 struct ServeOptions {
   // Most nodes a single fused forward scores; also the coalescing target.
   size_t max_batch = 8;
-  // Approximate upper bound on how long the worker lingers for more
-  // requests once it has at least one but fewer than max_batch pending
-  // nodes. Implemented as bounded yield-polling that cuts the batch as
-  // soon as arrivals go quiet (a timed wait cannot express a
+  // Approximate upper bound on how long a batch's leader lingers for
+  // more requests once it has at least one but fewer than max_batch
+  // pending nodes. Implemented as bounded yield-polling that cuts the
+  // batch as soon as arrivals go quiet (a timed wait cannot express a
   // microsecond-scale window), so a batch is never delayed once the
   // concurrent callers have all been heard. 0 = cut batches eagerly.
   int64_t max_wait_micros = 200;
@@ -66,7 +72,7 @@ struct ServeOptions {
   size_t queue_capacity = 1024;
 
   // kInvalidArgument on the first field outside its documented domain;
-  // checked before the worker starts (a bad config never spawns one).
+  // checked at construction (a bad config never builds a scorer).
   util::Result<void> Validate() const;
 };
 
@@ -78,7 +84,7 @@ struct ScoreRequest {
 
 class RequestBatcher {
  public:
-  // `snapshot` must outlive the batcher. Starts the worker thread unless
+  // `snapshot` must outlive the batcher. Warms the scorer unless
   // `options` fails validation (then every Score returns that status).
   explicit RequestBatcher(const ScoringSnapshot* snapshot,
                           ServeOptions options = {});
@@ -87,19 +93,21 @@ class RequestBatcher {
   RequestBatcher(const RequestBatcher&) = delete;
   RequestBatcher& operator=(const RequestBatcher&) = delete;
 
-  // Blocks until the worker has scored the request (or rejects it
-  // immediately — see the code table in the file header). scores[i]
-  // corresponds to request.node_ids[i].
+  // Blocks until the request is scored, leading batches on the calling
+  // thread whenever none is in progress (or rejects it immediately — see
+  // the code table in the file header). scores[i] corresponds to
+  // request.node_ids[i].
   util::Result<std::vector<NodeScore>> Score(const ScoreRequest& request);
 
-  // Drains the queue (every accepted request still completes), stops the
-  // worker, and joins it. Idempotent; after it returns, Score rejects
-  // with kFailedPrecondition.
+  // Refuses new calls, then waits until the queue is empty and no leader
+  // is running: every accepted request still completes, scored by its
+  // callers. Idempotent; after it returns, Score rejects with
+  // kFailedPrecondition.
   void Stop();
 
-  // Snapshot of the worker's metrics + span tree. Only valid after
-  // Stop() — the worker's Registry/Trace are its private unsynchronized
-  // state while it runs.
+  // Snapshot of the batcher's metrics + span tree. Only valid after
+  // Stop() — the Registry/Trace are the running leader's unsynchronized
+  // state until then.
   obs::Report ObsReport() const;
 
   const ServeOptions& options() const { return options_; }
@@ -112,32 +120,53 @@ class RequestBatcher {
     bool done = false;
   };
 
-  void WorkerLoop();
+  // Runs one batch on the calling thread: linger, cut, score, fan out,
+  // wake the waiters. Entered and left with `lock` held and no leader
+  // running; releases it while scoring.
+  void LeadBatch(std::unique_lock<std::mutex>& lock);
 
   const ScoringSnapshot* snapshot_;
   ServeOptions options_;
   util::Status init_status_;  // options validation result
 
   mutable std::mutex mu_;
-  std::condition_variable queue_cv_;  // worker wakeups
-  std::condition_variable done_cv_;   // caller wakeups
+  std::condition_variable done_cv_;  // a batch finished, or Stop drained
   std::deque<Pending*> queue_;
   size_t pending_nodes_ = 0;  // total node ids sitting in queue_
   bool stop_ = false;
-  bool worker_joined_ = false;
+  bool leading_ = false;  // a caller is running a batch
+  bool drained_ = false;  // Stop has drained; ObsReport is valid
 
-  // Caller-side totals, guarded by mu_; folded into the worker's
-  // registry counters at drain time (the Registry itself is
-  // worker-thread-only state).
+  // Caller-side totals, guarded by mu_; folded into the registry's
+  // counters when Stop drains.
   uint64_t accepted_requests_ = 0;
   uint64_t accepted_nodes_ = 0;
   uint64_t rejected_requests_ = 0;
 
-  // Worker-owned observability (ScopedObs installed in WorkerLoop).
   obs::Trace trace_;
   obs::Registry registry_;
 
-  std::thread worker_;
+  // State only the caller running a batch touches; mu_ hands it from one
+  // leader to the next.
+  struct LeaderState {
+    LeaderState(const ScoringSnapshot* snapshot, size_t max_batch,
+                obs::Registry* registry);
+
+    SnapshotScorer scorer;
+    obs::Gauge* queue_depth;
+    obs::Histogram* batch_size;
+    // Epoch-stamped dedup over node ids (the PprEngine pattern): no
+    // per-batch hash set, O(1) membership, one epoch bump per batch.
+    std::vector<uint64_t> stamp;
+    std::vector<size_t> slot;
+    uint64_t epoch = 0;
+    std::vector<size_t> batch_nodes;      // unique ids, arrival order
+    std::vector<NodeScore> batch_scores;  // parallel to batch_nodes
+    std::vector<size_t> chunk;            // <= max_batch slice for the scorer
+    std::vector<Pending*> taken;
+  };
+  // Absent when the options failed validation.
+  std::optional<LeaderState> leader_;
 };
 
 }  // namespace gale::serve

@@ -10,7 +10,8 @@
 // collapses the whole warm cache into one length-n vector). After
 // construction nothing in the snapshot ever mutates, so any number of
 // threads may read it concurrently without synchronization — the
-// immutability contract the RequestBatcher's worker relies on.
+// immutability contract the RequestBatcher relies on while its leader
+// scores and other callers read the snapshot.
 //
 // Snapshots persist: Save/Load use a versioned binary header with an
 // FNV-1a payload checksum. A truncated or bit-flipped file is rejected
@@ -131,8 +132,10 @@ std::vector<double> BakeErrorInfluence(prop::PprEngine& engine,
 // Allocation-free fused forward over a snapshot. Owns persistent batch
 // buffers warmed at construction for batches up to `max_batch` rows;
 // after that, ScoreInto never touches the heap (serve_snapshot_test pins
-// it with la::BufferAllocations). NOT thread-safe — one scorer per
-// driving thread; the snapshot behind it may be shared freely.
+// it with la::BufferAllocations). NOT thread-safe — one thread drives a
+// scorer at a time (the RequestBatcher's single scorer passes from one
+// batch leader to the next under its mutex); the snapshot behind it may
+// be shared freely.
 class SnapshotScorer {
  public:
   // `snapshot` must outlive the scorer. `max_batch` >= 1.

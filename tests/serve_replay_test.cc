@@ -144,6 +144,59 @@ TEST(ServeReplayTest, BatchedScoresMatchSerialReference) {
   }
 }
 
+TEST(ServeReplayTest, LeaderHandOverServesEveryQueuedCaller) {
+  // max_batch = 1 cuts one request per batch (a multi-node request is
+  // taken alone and chunked), so with eight callers the queue holds more
+  // than one batch and the leader role passes between callers: a leader
+  // returns once its own request is done, and a woken caller whose
+  // request is still queued leads the next batch. Every call must return
+  // the serial reference's bytes, and every caller must return (a caller
+  // stranded behind a vanished leader hangs the join below).
+  ScoringSnapshot snap = MakeSnapshot();
+  const std::vector<NodeScore> ref = SerialReference(snap);
+  ServeOptions options;
+  options.max_batch = 1;
+  options.max_wait_micros = 50;
+  RequestBatcher batcher(&snap, options);
+
+  constexpr size_t kCallers = 8;
+  constexpr size_t kRounds = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (size_t round = 0; round < kRounds; ++round) {
+        for (const std::vector<size_t>& ids :
+             RequestsForThread(t, round % 2 == 1)) {
+          ScoreRequest request;
+          request.node_ids = ids;
+          auto scores = batcher.Score(request);
+          if (!scores.ok() || scores.value().size() != ids.size()) {
+            mismatches.fetch_add(1000);
+            continue;
+          }
+          for (size_t i = 0; i < ids.size(); ++i) {
+            if (std::memcmp(&scores.value()[i], &ref[ids[i]],
+                            sizeof(NodeScore)) != 0) {
+              mismatches.fetch_add(1);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  batcher.Stop();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  const obs::Report report = batcher.ObsReport();
+  const uint64_t requests = kCallers * kRounds * 6;
+  EXPECT_EQ(report.CounterOr("gale.serve.requests"), requests);
+  const auto hist = report.histograms.find("gale.serve.batch_size");
+  ASSERT_NE(hist, report.histograms.end());
+  EXPECT_EQ(hist->second.count, requests) << "one request per batch";
+}
+
 TEST(ServeReplayTest, DedupScoresSharedNodesOnce) {
   ScoringSnapshot snap = MakeSnapshot();
   ServeOptions options;
@@ -180,7 +233,7 @@ TEST(ServeReplayTest, OversizedRequestIsRejectedAsOverloaded) {
   RequestBatcher batcher(&snap, options);
 
   // More nodes than the queue can ever hold: deterministic rejection
-  // regardless of worker timing.
+  // regardless of batch timing.
   ScoreRequest request;
   for (size_t v = 0; v < 5; ++v) request.node_ids.push_back(v);
   auto rejected = batcher.Score(request);
@@ -208,10 +261,12 @@ TEST(ServeReplayTest, ScoreAfterStopIsFailedPrecondition) {
 }
 
 TEST(ServeReplayTest, StopWithCallersBlockedServesOrRefusesEachCall) {
-  // Callers keep requests in flight while another thread calls Stop():
-  // each call either returns the serial reference's bytes (accepted before
-  // the stop, then drained) or fails with kFailedPrecondition (arrived
-  // after). Every caller ends on such a refusal, so none hangs.
+  // Callers keep requests in flight while another thread calls Stop(), so
+  // the stop lands while one of them leads a batch and others wait queued
+  // behind it: each call either returns the serial reference's bytes
+  // (accepted before the stop, then drained by its callers' batches) or
+  // fails with kFailedPrecondition (arrived after). Every caller ends on
+  // such a refusal, so none hangs.
   ScoringSnapshot snap = MakeSnapshot();
   const std::vector<NodeScore> ref = SerialReference(snap);
   for (int threads : {1, 4}) {
@@ -261,8 +316,8 @@ TEST(ServeReplayTest, StopWithCallersBlockedServesOrRefusesEachCall) {
 
     EXPECT_EQ(wrong.load(), 0) << "threads=" << threads;
     EXPECT_EQ(refused.load(), kCallers) << "threads=" << threads;
-    // Every accepted request completed: the worker counted exactly the
-    // calls that returned scores.
+    // Every accepted request completed: Stop counted exactly the calls
+    // that returned scores.
     EXPECT_EQ(batcher.ObsReport().CounterOr("gale.serve.requests"),
               served.load())
         << "threads=" << threads;

@@ -17,7 +17,7 @@
 #           the non-vectorized path green (it is the bitwise reference
 #           the SIMD kernels are checked against)
 #   serve   serving-path gate: the batcher replay harness under TSan
-#           (races between callers and the worker) and ASan (the
+#           (races between callers taking turns as leader) and ASan (the
 #           snapshot's binary loader on corrupt/truncated files), plus an
 #           8-thread replay leg. Reuses build-tsan/build-asan, so after
 #           those stages it is incremental.
@@ -142,7 +142,7 @@ for stage in "${stages[@]}"; do
       ;;
     serve)
       run_stage "serving path (replay under TSan + ASan, corruption cases)"
-      # TSan: concurrent callers vs the batcher worker. Same configure
+      # TSan: concurrent callers taking turns as leader. Same configure
       # flags as the tsan stage so the build tree is shared.
       build_dir="${repo_root}/build-tsan"
       cmake -B "${build_dir}" -S "${repo_root}" \
