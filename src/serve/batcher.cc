@@ -33,17 +33,17 @@ RequestBatcher::RequestBatcher(const ScoringSnapshot* snapshot,
     drained_ = true;  // nothing can ever queue; Score reports the status
     return;
   }
-  leader_.emplace(snapshot_, options_.max_batch, &registry_);
+  state_.emplace(snapshot_, options_.max_batch, &registry_);
 }
 
-RequestBatcher::LeaderState::LeaderState(const ScoringSnapshot* snapshot,
-                                         size_t max_batch,
-                                         obs::Registry* registry)
+RequestBatcher::ScoringState::ScoringState(const ScoringSnapshot* snapshot,
+                                           size_t max_batch,
+                                           obs::Registry* registry)
     : scorer(snapshot, max_batch),
       queue_depth(registry->gauge("gale.serve.queue_depth")),
       batch_size(registry->histogram("gale.serve.batch_size")),
-      stamp(snapshot->num_nodes(), 0),
-      slot(snapshot->num_nodes(), 0) {}
+      table(snapshot->num_nodes()),
+      node_state(snapshot->num_nodes(), NodeState::kUnscored) {}
 
 RequestBatcher::~RequestBatcher() { Stop(); }
 
@@ -68,16 +68,19 @@ util::Result<std::vector<NodeScore>> RequestBatcher::Score(
     return util::Status::FailedPrecondition(
         "RequestBatcher::Score: batcher is stopped");
   }
-  if (pending_nodes_ + request.node_ids.size() > options_.queue_capacity) {
+  const bool answered = AnswerFromTable(&pending);
+  if (!answered &&
+      pending_nodes_ + request.node_ids.size() > options_.queue_capacity) {
     ++rejected_requests_;
     return util::Status::Overloaded(
         "RequestBatcher::Score: queue capacity exhausted");
   }
   ++accepted_requests_;
   accepted_nodes_ += request.node_ids.size();
+  if (answered) return std::move(pending.scores);
   pending_nodes_ += request.node_ids.size();
   queue_.push_back(&pending);
-  // Lead batches until ours is scored, or wait while another caller leads.
+  // Lead batches until ours is done, or wait while another caller leads.
   // Batches are cut FIFO, so every batch this caller leads brings its own
   // request closer to the front.
   while (!pending.done) {
@@ -101,6 +104,7 @@ void RequestBatcher::Stop() {
   registry_.counter("gale.serve.requests")->Increment(accepted_requests_);
   registry_.counter("gale.serve.nodes")->Increment(accepted_nodes_);
   registry_.counter("gale.serve.rejected")->Increment(rejected_requests_);
+  registry_.counter("gale.serve.table_hits")->Increment(table_hits_);
 }
 
 obs::Report RequestBatcher::ObsReport() const {
@@ -111,9 +115,20 @@ obs::Report RequestBatcher::ObsReport() const {
   return obs::Snapshot(&registry_, &trace_);
 }
 
+bool RequestBatcher::AnswerFromTable(Pending* p) {
+  const ScoringState& state = *state_;
+  const std::vector<size_t>& ids = *p->nodes;
+  for (size_t v : ids) {
+    if (state.node_state[v] != NodeState::kScored) return false;
+  }
+  for (size_t i = 0; i < ids.size(); ++i) p->scores[i] = state.table[ids[i]];
+  ++table_hits_;
+  return true;
+}
+
 void RequestBatcher::LeadBatch(std::unique_lock<std::mutex>& lock) {
   leading_ = true;
-  LeaderState& state = *leader_;
+  ScoringState& state = *state_;
 
   // Coalescing window. A timed condvar wait cannot express a
   // microsecond-scale window (kernel timer slack alone is ~50us), so
@@ -146,59 +161,71 @@ void RequestBatcher::LeadBatch(std::unique_lock<std::mutex>& lock) {
     }
   }
 
-  // Cut a batch: whole requests, FIFO, until the unique node count
-  // reaches max_batch (always at least one request — an oversized
-  // request is taken alone and chunked below).
+  // Cut a batch: whole requests, FIFO, until it holds max_batch nodes
+  // to score (always at least one request — an oversized request is
+  // taken alone and chunked below). Only unscored nodes enter the batch;
+  // a request whose nodes were all scored while it waited is answered
+  // from the table here and takes no room.
   state.taken.clear();
   state.batch_nodes.clear();
-  ++state.epoch;
   while (!queue_.empty()) {
-    Pending* p = queue_.front();
     if (!state.taken.empty() &&
         state.batch_nodes.size() >= options_.max_batch) {
       break;
     }
+    Pending* p = queue_.front();
     queue_.pop_front();
     pending_nodes_ -= p->nodes->size();
+    if (AnswerFromTable(p)) {
+      p->done = true;
+      continue;
+    }
     state.taken.push_back(p);
     for (size_t v : *p->nodes) {
-      if (state.stamp[v] != state.epoch) {
-        state.stamp[v] = state.epoch;
-        state.slot[v] = state.batch_nodes.size();
+      if (state.node_state[v] == NodeState::kUnscored) {
+        state.node_state[v] = NodeState::kTaken;
         state.batch_nodes.push_back(v);
       }
     }
   }
   state.queue_depth->Set(static_cast<double>(pending_nodes_));
-  lock.unlock();
 
-  {
-    obs::ScopedObs obs_context(&trace_, &registry_);
-    obs::Span span("gale.serve.batch");
-    span.Arg("requests", static_cast<double>(state.taken.size()));
-    span.Arg("unique_nodes", static_cast<double>(state.batch_nodes.size()));
-    state.batch_size->Record(state.batch_nodes.size());
-    state.batch_scores.resize(state.batch_nodes.size());
-    for (size_t off = 0; off < state.batch_nodes.size();
-         off += options_.max_batch) {
-      const size_t len =
-          std::min(options_.max_batch, state.batch_nodes.size() - off);
-      state.chunk.assign(
-          state.batch_nodes.begin() + static_cast<ptrdiff_t>(off),
-          state.batch_nodes.begin() + static_cast<ptrdiff_t>(off + len));
-      state.scorer.ScoreInto(state.chunk, state.batch_scores.data() + off);
-    }
-    // Fan the deduplicated scores back out to every taken request.
-    for (Pending* p : state.taken) {
-      const std::vector<size_t>& ids = *p->nodes;
-      for (size_t i = 0; i < ids.size(); ++i) {
-        p->scores[i] = state.batch_scores[state.slot[ids[i]]];
+  // Every taken request has a node that was unscored at the cut, so the
+  // batch scores at least one node whenever it took a request.
+  if (!state.taken.empty()) {
+    lock.unlock();
+    {
+      obs::ScopedObs obs_context(&trace_, &registry_);
+      obs::Span span("gale.serve.batch");
+      span.Arg("requests", static_cast<double>(state.taken.size()));
+      span.Arg("unique_nodes", static_cast<double>(state.batch_nodes.size()));
+      state.batch_size->Record(state.batch_nodes.size());
+      state.batch_scores.resize(state.batch_nodes.size());
+      for (size_t off = 0; off < state.batch_nodes.size();
+           off += options_.max_batch) {
+        const size_t len =
+            std::min(options_.max_batch, state.batch_nodes.size() - off);
+        state.chunk.assign(
+            state.batch_nodes.begin() + static_cast<ptrdiff_t>(off),
+            state.batch_nodes.begin() + static_cast<ptrdiff_t>(off + len));
+        state.scorer.ScoreInto(state.chunk, state.batch_scores.data() + off);
+      }
+      for (size_t i = 0; i < state.batch_nodes.size(); ++i) {
+        state.table[state.batch_nodes[i]] = state.batch_scores[i];
+      }
+      // Fan the table's scores out to every taken request: each of its
+      // nodes is this batch's or was scored before the cut.
+      for (Pending* p : state.taken) {
+        const std::vector<size_t>& ids = *p->nodes;
+        for (size_t i = 0; i < ids.size(); ++i) {
+          p->scores[i] = state.table[ids[i]];
+        }
       }
     }
+    lock.lock();
+    for (size_t v : state.batch_nodes) state.node_state[v] = NodeState::kScored;
+    for (Pending* p : state.taken) p->done = true;
   }
-
-  lock.lock();
-  for (Pending* p : state.taken) p->done = true;
   leading_ = false;
   done_cv_.notify_all();
 }
