@@ -1,6 +1,7 @@
 // Versioned-store publish bench: full (cold) publish against the
 // incremental path. The "full" workload creates a fresh store per rep and
-// pays the whole pipeline — feature encode, walk renormalization, a cold
+// pays the whole publish pipeline — feature encode (a replay of the
+// encode plans the untimed Create built), walk renormalization, a cold
 // PPR pass over every error seed, snapshot assembly. The "incremental"
 // workload keeps one warm store and per rep applies a small
 // attribute+label batch then publishes: the walk and every untouched PPR

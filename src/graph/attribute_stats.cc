@@ -17,54 +17,44 @@ std::vector<size_t> AttributeSlotOffsets(const AttributedGraph& g) {
   return offsets;
 }
 
+NumericStats NumericMoments(const std::vector<double>& values) {
+  NumericStats s;
+  if (values.empty()) return s;
+  double sum = 0.0;
+  s.min = s.max = values[0];
+  for (const double x : values) {
+    s.min = std::min(s.min, x);
+    s.max = std::max(s.max, x);
+    sum += x;
+  }
+  s.count = values.size();
+  s.mean = sum / static_cast<double>(s.count);
+  if (s.count > 1) {
+    double sq = 0.0;
+    for (const double x : values) {
+      const double d = x - s.mean;
+      sq += d * d;
+    }
+    s.stddev = std::sqrt(sq / static_cast<double>(s.count - 1));
+  }
+  return s;
+}
+
 std::vector<NumericStats> NumericSlotStats(const AttributedGraph& g,
                                            const std::vector<size_t>& offsets) {
-  const size_t total_slots = offsets.back();
-  std::vector<NumericStats> numeric(total_slots);
-
-  // First pass: count, range and sums for the means.
-  std::vector<double> sums(total_slots, 0.0);
+  std::vector<std::vector<double>> columns(offsets.back());
   for (size_t v = 0; v < g.num_nodes(); ++v) {
-    const size_t t = g.node_type(v);
+    const size_t first = offsets[g.node_type(v)];
     for (size_t a = 0; a < g.num_attributes(v); ++a) {
       const AttributeValue& val = g.value(v, a);
-      if (val.kind != ValueKind::kNumeric) continue;
-      const size_t slot = offsets[t] + a;
-      NumericStats& s = numeric[slot];
-      if (s.count == 0) {
-        s.min = s.max = val.numeric;
-      } else {
-        s.min = std::min(s.min, val.numeric);
-        s.max = std::max(s.max, val.numeric);
+      if (val.kind == ValueKind::kNumeric) {
+        columns[first + a].push_back(val.numeric);
       }
-      s.count += 1;
-      sums[slot] += val.numeric;
     }
   }
-  for (size_t slot = 0; slot < total_slots; ++slot) {
-    if (numeric[slot].count > 0) {
-      numeric[slot].mean =
-          sums[slot] / static_cast<double>(numeric[slot].count);
-    }
-  }
-
-  // Second pass: variances.
-  std::vector<double> sq(total_slots, 0.0);
-  for (size_t v = 0; v < g.num_nodes(); ++v) {
-    const size_t t = g.node_type(v);
-    for (size_t a = 0; a < g.num_attributes(v); ++a) {
-      const AttributeValue& val = g.value(v, a);
-      if (val.kind != ValueKind::kNumeric) continue;
-      const size_t slot = offsets[t] + a;
-      const double d = val.numeric - numeric[slot].mean;
-      sq[slot] += d * d;
-    }
-  }
-  for (size_t slot = 0; slot < total_slots; ++slot) {
-    if (numeric[slot].count > 1) {
-      numeric[slot].stddev = std::sqrt(
-          sq[slot] / static_cast<double>(numeric[slot].count - 1));
-    }
+  std::vector<NumericStats> numeric(columns.size());
+  for (size_t slot = 0; slot < columns.size(); ++slot) {
+    numeric[slot] = NumericMoments(columns[slot]);
   }
   return numeric;
 }

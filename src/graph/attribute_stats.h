@@ -35,10 +35,13 @@ struct TextStats {
 // slot count.
 std::vector<size_t> AttributeSlotOffsets(const AttributedGraph& g);
 
-// Count, min, max, mean and sample stddev of the numeric values of every
-// slot. The one definition of these moments (AttributeStats and the
-// feature encoder both use it): a sum pass, then a squared-deviation
-// pass, each in ascending node order.
+// Count, min, max, mean and sample stddev of `values`: a sum pass, then
+// a squared-deviation pass, each in index order. The one definition of
+// these moments: NumericSlotStats and the feature encoder's warm state
+// both reduce a slot's values, in ascending node order, through it.
+NumericStats NumericMoments(const std::vector<double>& values);
+
+// NumericMoments of the numeric values of every slot.
 std::vector<NumericStats> NumericSlotStats(const AttributedGraph& g,
                                            const std::vector<size_t>& offsets);
 

@@ -35,6 +35,10 @@ bool KindMatches(const graph::AttributeDef& def,
   return value.is_null() || value.kind == def.kind;
 }
 
+// dirty_rows_ flags: the row changed, and its attribute values changed.
+constexpr uint8_t kRowDirty = 1;
+constexpr uint8_t kValuesDirty = 2;
+
 bool ValidLabel(int label) {
   return label == core::kUnlabeled || label == core::kLabelError ||
          label == core::kLabelCorrect;
@@ -101,6 +105,7 @@ VersionedGraphStore::VersionedGraphStore(graph::AttributedGraph base,
     : graph_(std::move(base)),
       labels_(std::move(labels)),
       options_(std::move(options)),
+      encoder_stats_(graph_),
       dirty_rows_(graph_.num_nodes(), 0),
       deltas_applied_(registry_.counter("gale.store.deltas_applied")),
       deltas_rejected_(registry_.counter("gale.store.deltas_rejected")),
@@ -111,6 +116,7 @@ VersionedGraphStore::VersionedGraphStore(graph::AttributedGraph base,
       ppr_rows_refreshed_(registry_.counter("gale.store.ppr_rows_refreshed")),
       ppr_rows_reused_(registry_.counter("gale.store.ppr_rows_reused")),
       full_rebuilds_(registry_.counter("gale.store.full_rebuilds")),
+      nodes_replanned_(registry_.counter("gale.store.nodes_replanned")),
       epoch_gauge_(registry_.gauge("gale.store.epoch")),
       published_epoch_gauge_(registry_.gauge("gale.store.published_epoch")),
       num_nodes_gauge_(registry_.gauge("gale.store.num_nodes")),
@@ -120,11 +126,9 @@ VersionedGraphStore::VersionedGraphStore(graph::AttributedGraph base,
   num_edges_gauge_->Set(static_cast<double>(graph_.num_edges()));
 }
 
-void VersionedGraphStore::MarkDirty(size_t node) {
-  if (!dirty_rows_[node]) {
-    dirty_rows_[node] = 1;
-    ++dirty_count_;
-  }
+void VersionedGraphStore::MarkDirty(size_t node, bool values) {
+  if (!dirty_rows_[node]) ++dirty_count_;
+  dirty_rows_[node] |= kRowDirty | (values ? kValuesDirty : 0);
 }
 
 util::Status VersionedGraphStore::ApplyBatch(const DeltaBatch& batch) {
@@ -309,6 +313,8 @@ util::Status VersionedGraphStore::ApplyBatch(const DeltaBatch& batch) {
     switch (d.kind) {
       case DeltaKind::kUpsertNode:
       case DeltaKind::kSetAttribute:
+        MarkDirty(d.node, /*values=*/true);
+        break;
       case DeltaKind::kSetLabel:
         MarkDirty(d.node);
         break;
@@ -391,11 +397,21 @@ util::Result<PublishedSnapshot> VersionedGraphStore::PublishSnapshot(
   span.Arg("epoch", static_cast<double>(epoch_));
   span.Arg("dirty_rows", static_cast<double>(dirty_count_));
 
+  // The encoder state is warm: only the nodes whose values changed are
+  // replanned, and every row is replayed from its plan (DESIGN.md §12,
+  // "Feature encoding without strings").
   la::Matrix features;
+  std::vector<size_t> stale;
   {
     obs::Span encode_span("gale.store.publish.encode");
+    for (size_t v = 0; v < n; ++v) {
+      if (dirty_rows_[v] & kValuesDirty) stale.push_back(v);
+    }
+    encoder_stats_.Replan(graph_, stale);
+    encode_span.Arg("nodes", static_cast<double>(n));
+    encode_span.Arg("replanned", static_cast<double>(stale.size()));
     util::Result<la::Matrix> encoded =
-        graph::FeatureEncoder(options_.encoder).Encode(graph_);
+        graph::FeatureEncoder(options_.encoder).Encode(graph_, encoder_stats_);
     if (!encoded.ok()) return encoded.status();
     features = std::move(encoded).value();
   }
@@ -451,6 +467,7 @@ util::Result<PublishedSnapshot> VersionedGraphStore::PublishSnapshot(
   rows_invalidated_->Increment(invalidated);
   ppr_rows_refreshed_->Increment(refreshed);
   ppr_rows_reused_->Increment(reused);
+  nodes_replanned_->Increment(stale.size());
   std::fill(dirty_rows_.begin(), dirty_rows_.end(), 0);
   dirty_count_ = 0;
   topology_dirty_ = false;

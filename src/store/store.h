@@ -11,25 +11,40 @@
 // dense: epoch e is exactly "the base graph plus the first e batches".
 //
 // PublishSnapshot() freezes the current epoch into a
-// serve::ScoringSnapshot: re-encodes features, (re)builds the normalized
+// serve::ScoringSnapshot: encodes features, (re)builds the normalized
 // adjacency walk, refreshes the warm PPR error-influence rows, and
 // assembles the snapshot for the RequestBatcher. Publishing is
-// *incremental* between topology changes: the store tracks which rows a
-// batch dirtied and keeps its PprEngine warm, so an attribute- or
-// label-only stream only recomputes the PPR rows of newly error-labeled
-// seeds (retired seeds are evicted via PprEngine::EvictRows). A topology
-// change (node added, edge added/removed) renormalizes the whole walk
-// matrix, so the engine is rebuilt cold — per-seed eviction there would
-// *not* be exact, and exactness is the contract: an incrementally
-// published snapshot is bitwise identical to a from-scratch rebuild of
-// the same end-state graph at every GALE_NUM_THREADS
-// (store_publish_test pins both with memcmp over serialized bytes).
+// *incremental*:
+//
+// - The feature encoder's state (graph::EncoderStats: slot counts and
+//   moments plus one encode plan per node, with each token's hash and
+//   count handle) is planned when the store is created and stays warm
+//   from one publish to the next. A batch marks
+//   the nodes whose values it changed (SetAttribute, UpsertNode, node
+//   appends); the next publish replans only those nodes and replays every
+//   row from its plan, without tokenizing or hashing a string. Label and
+//   topology deltas replan nothing: degree is read from the CSR at
+//   replay. The state owns its keys, so it stays valid after
+//   set_value/ReplaceNodeValues free a string it counted. A replayed row
+//   is bitwise the row a fresh encode writes (DESIGN.md §12).
+// - Between topology changes the store keeps its PprEngine warm, so an
+//   attribute- or label-only stream only recomputes the PPR rows of
+//   newly error-labeled seeds (retired seeds are evicted via
+//   PprEngine::EvictRows). A topology change (node added, edge
+//   added/removed) renormalizes the whole walk matrix, so the engine is
+//   rebuilt cold — per-seed eviction there would *not* be exact.
+//
+// Exactness is the contract: an incrementally published snapshot is
+// bitwise identical to a from-scratch rebuild of the same end-state
+// graph at every GALE_NUM_THREADS (store_publish_test pins both with
+// memcmp over serialized bytes).
 //
 // Observability: gale.store.* spans (apply, publish and its
-// encode/walk/ppr/assemble children), counters (deltas/batches
-// applied + rejected, epochs published, rows invalidated, PPR rows
-// refreshed/reused, full rebuilds) and gauges (epoch, node/edge counts,
-// dirty rows) in a per-store registry, deterministic under
+// encode/walk/ppr/assemble children; encode carries the node count and
+// the number of replanned nodes), counters (deltas/batches applied +
+// rejected, epochs published, rows invalidated, nodes replanned, PPR
+// rows refreshed/reused, full rebuilds) and gauges (epoch, node/edge
+// counts, dirty rows) in a per-store registry, deterministic under
 // GALE_OBS_LOGICAL_TIME=1.
 
 #ifndef GALE_STORE_STORE_H_
@@ -142,8 +157,9 @@ class VersionedGraphStore {
   VersionedGraphStore(graph::AttributedGraph base, std::vector<int> labels,
                       StoreOptions options);
 
-  // Marks `node` dirty (idempotent).
-  void MarkDirty(size_t node);
+  // Marks `node` dirty (idempotent); `values` also marks its encode plan
+  // stale (its attribute values changed, or it was appended).
+  void MarkDirty(size_t node, bool values = false);
 
   graph::AttributedGraph graph_;
   std::vector<int> labels_;
@@ -154,7 +170,11 @@ class VersionedGraphStore {
   // them (true at construction — the first publish is always cold).
   la::SparseMatrix walk_;
   std::unique_ptr<prop::PprEngine> engine_;
-  std::vector<uint8_t> dirty_rows_;  // 1 bit per node, length num_nodes
+  // The feature encoder's state: every node is planned at construction;
+  // each publish replans the nodes whose values changed since the last.
+  graph::EncoderStats encoder_stats_;
+  // kRowDirty | kValuesDirty flags per node, length num_nodes.
+  std::vector<uint8_t> dirty_rows_;
   size_t dirty_count_ = 0;
   bool topology_dirty_ = true;
   // Seeds that lost their error label since the last publish; their warm
@@ -175,6 +195,7 @@ class VersionedGraphStore {
   obs::Counter* ppr_rows_refreshed_;
   obs::Counter* ppr_rows_reused_;
   obs::Counter* full_rebuilds_;
+  obs::Counter* nodes_replanned_;
   obs::Gauge* epoch_gauge_;
   obs::Gauge* published_epoch_gauge_;
   obs::Gauge* num_nodes_gauge_;

@@ -1,7 +1,9 @@
 // Tests for the synthetic dataset generator, attribute statistics, and the
 // feature encoder.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <string_view>
@@ -171,6 +173,90 @@ TEST(FeatureEncoderTest, ShapeAndDeterminism) {
   EXPECT_TRUE(a.value().AllClose(b.value(), 0.0));
 }
 
+TEST(FeatureEncoderTest, ReplannedStatsEncodeLikeFreshStats) {
+  // A state kept warm through rounds of value edits (text, numeric, null)
+  // and node appends encodes the same bytes as a state planned from the
+  // end graph, at a power-of-two and another bucket count. The rounds
+  // retire enough tokens to compact the token plans.
+  SyntheticConfig config;
+  config.num_nodes = 200;
+  config.seed = 4;
+  auto ds = GenerateSynthetic(config);
+  ASSERT_TRUE(ds.ok());
+  AttributedGraph g = ds.value().graph.Clone();
+  EncoderStats warm(g);
+  for (size_t round = 0; round < 30; ++round) {
+    std::vector<size_t> nodes;
+    for (size_t i = 0; i < 12; ++i) {
+      const size_t v = (round * 37 + i * 53) % g.num_nodes();
+      if (std::find(nodes.begin(), nodes.end(), v) != nodes.end()) continue;
+      nodes.push_back(v);
+      for (size_t a = 0; a < g.num_attributes(v); ++a) {
+        if ((round + i + a) % 5 == 0) {
+          g.set_value(v, a, AttributeValue::Null());
+        } else if (g.attribute_def(v, a).kind == ValueKind::kNumeric) {
+          g.set_value(v, a,
+                      AttributeValue::Number(static_cast<double>(round + a)));
+        } else {
+          std::string text = std::to_string(round % 4);
+          text += "w r";
+          text += std::to_string(round);
+          g.set_value(v, a, AttributeValue::Text(text));
+        }
+      }
+    }
+    if (round % 10 == 9) {
+      g.Unfreeze();
+      std::vector<AttributeValue> values;
+      for (const AttributeDef& def : g.node_type_def(0).attributes) {
+        values.push_back(def.kind == ValueKind::kNumeric
+                             ? AttributeValue::Number(1.0)
+                             : AttributeValue::Text("appended"));
+      }
+      nodes.push_back(g.AddNode(0, values));
+      g.AddEdge(nodes.back(), 0, 0);
+      g.Finalize();
+    }
+    warm.Replan(g, nodes);
+  }
+  for (const size_t dims : {64u, 48u}) {
+    const FeatureEncoder encoder({.hash_dims = dims});
+    auto replayed = encoder.Encode(g, warm);
+    auto fresh = encoder.Encode(g);
+    ASSERT_TRUE(replayed.ok());
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_EQ(replayed.value().size(), fresh.value().size());
+    EXPECT_EQ(std::memcmp(replayed.value().data().data(),
+                          fresh.value().data().data(),
+                          fresh.value().size() * sizeof(double)),
+              0)
+        << "hash_dims " << dims;
+  }
+}
+
+TEST(FeatureEncoderTest, TokenLandsInHashModDims) {
+  // A token's bucket is FNV-1a("name=token") mod hash_dims, its sign bit
+  // 61 of that hash, for power-of-two and other bucket counts alike.
+  AttributedGraph g;
+  g.AddNodeType("t", {{"name", ValueKind::kText}});
+  g.AddNode(0, {AttributeValue::Text("tok")});
+  g.Finalize();
+  const uint64_t h = util::Fnv1aHash("name=tok");
+  for (const size_t dims : {64u, 48u, 7u}) {
+    const FeatureEncoder encoder({.hash_dims = dims,
+                                  .include_type_onehot = false,
+                                  .include_degree = false,
+                                  .include_quality_channels = false});
+    auto row = encoder.Encode(g);
+    ASSERT_TRUE(row.ok());
+    for (size_t b = 0; b < dims; ++b) {
+      const double expected =
+          b == h % dims ? (((h >> 61) & 1) ? 1.0 : -1.0) : 0.0;
+      EXPECT_EQ(row.value().RowPtr(0)[b], expected) << dims << " " << b;
+    }
+  }
+}
+
 TEST(FeatureEncoderTest, PerturbationMovesTheVector) {
   SyntheticConfig config;
   config.num_nodes = 200;
@@ -243,25 +329,76 @@ TEST(FeatureEncoderTest, RejectsZeroHashDims) {
 }
 
 TEST(StringCountTableTest, CountsKeysThroughGrowthAndCollisions) {
-  // Keys with equal hashes stay distinct, and counts survive the rehashes
-  // of many doublings.
+  // Keys with equal hashes stay distinct, and counts and handles survive
+  // the rehashes of many doublings.
   StringCountTable table;
-  EXPECT_EQ(table.Count("a", 7), 0u);
-  const std::string a = "a";
-  const std::string b = "b";
-  table.Add(a, 7);
-  table.Add(b, 7);
-  table.Add(a, 7);
+  EXPECT_EQ(table.Find("a", 7), StringCountTable::kNone);
+  EXPECT_EQ(table.count(StringCountTable::kNone), 0u);
+  const StringCountTable::Handle a = table.Add("a", 7);
+  const StringCountTable::Handle b = table.Add("b", 7);
+  EXPECT_EQ(table.Add("a", 7), a);
   std::vector<std::string> keys;
   for (int i = 0; i < 1000; ++i) keys.push_back(std::to_string(i));
   for (const std::string& k : keys) table.Add(k, util::Fnv1aHash(k));
   EXPECT_EQ(table.size(), 1002u);
-  EXPECT_EQ(table.Count("a", 7), 2u);
-  EXPECT_EQ(table.Count("b", 7), 1u);
-  EXPECT_EQ(table.Count("c", 7), 0u);
-  EXPECT_EQ(table.Count("a", 8), 0u);
+  EXPECT_EQ(table.Find("a", 7), a);
+  EXPECT_EQ(table.Find("b", 7), b);
+  EXPECT_EQ(table.count(a), 2u);
+  EXPECT_EQ(table.count(b), 1u);
+  EXPECT_EQ(table.Find("c", 7), StringCountTable::kNone);
+  EXPECT_EQ(table.Find("a", 8), StringCountTable::kNone);
   for (const std::string& k : keys) {
-    EXPECT_EQ(table.Count(k, util::Fnv1aHash(k)), 1u) << k;
+    EXPECT_EQ(table.count(table.Find(k, util::Fnv1aHash(k))), 1u) << k;
+  }
+}
+
+TEST(StringCountTableTest, RemoveKeepsTheOtherKeysReachable) {
+  // Removing keys from the middle of probe runs (equal hashes collide on
+  // one run) must leave every other key findable with its handle; a key
+  // at count 0 is gone, and its handle is reused.
+  StringCountTable table;
+  std::vector<std::string> keys;
+  std::vector<StringCountTable::Handle> handles;
+  for (int i = 0; i < 300; ++i) {
+    keys.push_back(std::to_string(i) + "k");
+    // Three hashes only: long collision runs.
+    handles.push_back(table.Add(keys.back(), static_cast<uint64_t>(i % 3)));
+  }
+  for (int i = 0; i < 300; i += 2) table.Remove(handles[i]);
+  EXPECT_EQ(table.size(), 150u);
+  for (int i = 0; i < 300; ++i) {
+    const StringCountTable::Handle found =
+        table.Find(keys[i], static_cast<uint64_t>(i % 3));
+    if (i % 2 == 0) {
+      EXPECT_EQ(found, StringCountTable::kNone) << keys[i];
+    } else {
+      EXPECT_EQ(found, handles[i]) << keys[i];
+      EXPECT_EQ(table.count(found), 1u);
+    }
+  }
+  const StringCountTable::Handle reused = table.Add("fresh", 1);
+  EXPECT_EQ(reused % 2, 0u);  // an even key's freed handle
+  EXPECT_EQ(table.Find("fresh", 1), reused);
+}
+
+TEST(StringCountTableTest, KeysOutliveTheirSourceStrings) {
+  // The table copies key bytes: counting from a string that is then
+  // freed, and compacting the bytes of removed keys, keeps every key
+  // comparable.
+  StringCountTable table;
+  std::vector<StringCountTable::Handle> handles;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string key =
+        std::to_string(i) + "-a-long-key-that-is-not-inlined";
+    handles.push_back(table.Add(key, util::Fnv1aHash(key)));
+  }
+  for (int i = 0; i < 1900; ++i) table.Remove(handles[i]);
+  for (int i = 0; i < 2000; ++i) {
+    const std::string key =
+        std::to_string(i) + "-a-long-key-that-is-not-inlined";
+    EXPECT_EQ(table.Find(key, util::Fnv1aHash(key)),
+              i < 1900 ? StringCountTable::kNone : handles[i])
+        << key;
   }
 }
 

@@ -8,9 +8,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/sgan.h"
 #include "la/matrix.h"
@@ -71,8 +75,20 @@ ScoringSnapshot MakeSnapshot(uint64_t seed = 11) {
   return std::move(snap).value();
 }
 
+// Files live in a per-process directory, removed at exit: ctest runs this
+// binary and its _mt4 entry concurrently, and shared paths would let one
+// truncate or corrupt the other's files mid-test.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  static const struct ProcessDir {
+    std::string path =
+        ::testing::TempDir() + "/gale_snapshot_" + std::to_string(getpid());
+    ProcessDir() { std::filesystem::create_directories(path); }
+    ~ProcessDir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  } dir;
+  return dir.path + "/" + name;
 }
 
 std::string ReadFileBytes(const std::string& path) {

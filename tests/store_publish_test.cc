@@ -1,17 +1,22 @@
 // VersionedGraphStore: batch validation + atomicity, epoch stamping,
 // dirty-row tracking, and the exactness contract of incremental publish —
 // an incrementally published snapshot is bitwise identical to a
-// from-scratch rebuild of the same end-state graph, at 1 and 4 threads.
+// from-scratch rebuild of the same end-state graph, at 1 and 4 threads —
+// including the warm feature-encoder state (its replans, its owned keys
+// and its telemetry).
 
 #include "store/store.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -21,11 +26,15 @@
 #include "graph/attributed_graph.h"
 #include "graph/feature_encoder.h"
 #include "la/sparse_matrix.h"
+#include "obs/export.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 #include "serve/snapshot.h"
 #include "store/delta_log.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace gale::store {
 namespace {
@@ -481,6 +490,376 @@ TEST(VersionedGraphStoreTest, LogReplayPublishScoreQuickstart) {
   }
   // The new node was labeled error, so it has self-influence.
   EXPECT_GT(scores[2].error_influence, 0.0);
+}
+
+// --- the warm feature-encoder state -----------------------------------
+
+// Publishes `store` and a fresh store built from its end state, and
+// expects byte-identical snapshots.
+void ExpectMatchesScratch(VersionedGraphStore* store,
+                          const core::DiscriminatorSnapshot& disc,
+                          const std::string& tag) {
+  auto published = store->PublishSnapshot(disc);
+  ASSERT_TRUE(published.ok()) << published.status();
+  auto scratch = VersionedGraphStore::Create(store->graph().Clone(),
+                                             store->labels());
+  ASSERT_TRUE(scratch.ok()) << scratch.status();
+  auto cold = scratch.value()->PublishSnapshot(disc);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  const std::string warm_bytes =
+      SnapshotBytes(published.value(), "warm_" + tag + ".bin");
+  const std::string cold_bytes =
+      SnapshotBytes(cold.value(), "cold_" + tag + ".bin");
+  ASSERT_EQ(warm_bytes.size(), cold_bytes.size()) << tag;
+  EXPECT_EQ(
+      std::memcmp(warm_bytes.data(), cold_bytes.data(), warm_bytes.size()), 0)
+      << "warm publish diverged from a scratch rebuild at " << tag;
+}
+
+constexpr size_t kTypes = 4;
+constexpr size_t kPerType = 10;
+const std::vector<std::string> kVocabulary = {"alpha", "beta", "gamma",
+                                              "delta", "eps", "omega"};
+
+// Four types, each with two text slots ("name", distinct per node, so
+// key-like; "tags", words of a small vocabulary, so tokens repeat) and
+// two numeric slots ("score", "weight"; every third weight null). Node
+// 15's tags hold the only "zeta".
+graph::AttributedGraph MakeFourTypeGraph() {
+  graph::AttributedGraph g;
+  for (size_t t = 0; t < kTypes; ++t) {
+    g.AddNodeType("type" + std::to_string(t),
+                  {{"name", ValueKind::kText},
+                   {"tags", ValueKind::kText},
+                   {"score", ValueKind::kNumeric},
+                   {"weight", ValueKind::kNumeric}});
+  }
+  g.AddEdgeType("link");
+  g.AddEdgeType("cite");
+  for (size_t t = 0; t < kTypes; ++t) {
+    for (size_t i = 0; i < kPerType; ++i) {
+      const size_t v = t * kPerType + i;
+      std::string tags = kVocabulary[v % kVocabulary.size()];
+      tags += " " + kVocabulary[(3 * v + 1) % kVocabulary.size()];
+      if (v == 15) tags = "zeta alpha";
+      g.AddNode(t, {AttributeValue::Text(std::to_string(v) + "-name"),
+                    AttributeValue::Text(tags),
+                    AttributeValue::Number(10.0 * static_cast<double>(t) +
+                                           1.5 * static_cast<double>(i)),
+                    i % 3 == 0 ? AttributeValue::Null()
+                               : AttributeValue::Number(
+                                     static_cast<double>(v % 7))});
+    }
+  }
+  const size_t n = kTypes * kPerType;
+  for (size_t v = 0; v < n; ++v) {
+    g.AddEdge(v, (v + 1) % n, 0);
+    if (v % 4 == 0) g.AddEdge(v, (v + 13) % n, 1);
+  }
+  g.Finalize();
+  return g;
+}
+
+std::vector<int> MakeFourTypeLabels() {
+  std::vector<int> labels(kTypes * kPerType, core::kUnlabeled);
+  labels[3] = core::kLabelError;
+  labels[26] = core::kLabelError;
+  labels[8] = core::kLabelCorrect;
+  return labels;
+}
+
+// More than 80% of the slot's non-null text values distinct: the rule
+// under which the encoder reads no token rarity for the slot.
+bool SlotKeyLike(const graph::AttributedGraph& g, size_t type, size_t attr) {
+  std::vector<std::string> values;
+  for (size_t v = 0; v < g.num_nodes(); ++v) {
+    if (g.node_type(v) != type) continue;
+    const AttributeValue& value = g.value(v, attr);
+    if (value.kind == ValueKind::kText) values.push_back(value.text);
+  }
+  const size_t total = values.size();
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  return total > 0 && static_cast<double>(values.size()) >
+                          0.8 * static_cast<double>(total);
+}
+
+// Occurrences of `token` in the "tags" slot of every node.
+size_t TagCount(const graph::AttributedGraph& g, std::string_view token) {
+  size_t count = 0;
+  for (size_t v = 0; v < g.num_nodes(); ++v) {
+    const AttributeValue& value = g.value(v, 1);
+    if (value.kind != ValueKind::kText) continue;
+    util::ForEachWhitespaceToken(value.text, [&](std::string_view tok) {
+      count += tok == token;
+    });
+  }
+  return count;
+}
+
+// A random batch of one to four deltas over the store's live state:
+// numeric edits (some null), tag edits from the vocabulary (some null),
+// labels, edge adds and removes, UpsertNode replaces and appends on types
+// 1-3. Type 0's names change only in the scripted batches.
+DeltaBatch RandomBatch(const VersionedGraphStore& store, util::Rng* rng) {
+  const graph::AttributedGraph& g = store.graph();
+  const size_t n = g.num_nodes();
+  auto random_tags = [&] {
+    std::string tags;
+    const size_t words = 1 + rng->UniformInt(3);
+    for (size_t w = 0; w < words; ++w) {
+      if (w > 0) tags += " ";
+      tags += kVocabulary[rng->UniformInt(kVocabulary.size())];
+    }
+    return AttributeValue::Text(tags);
+  };
+  auto random_values = [&](size_t node_id) {
+    return std::vector<AttributeValue>{
+        AttributeValue::Text(std::to_string(node_id) + "-node"),
+        random_tags(), AttributeValue::Number(rng->Uniform(-5.0, 50.0)),
+        rng->Bernoulli(0.3) ? AttributeValue::Null()
+                            : AttributeValue::Number(rng->Uniform(0.0, 9.0))};
+  };
+  DeltaBatch batch;
+  bool removed_edge = false;
+  const size_t deltas = 1 + rng->UniformInt(4);
+  for (size_t i = 0; i < deltas; ++i) {
+    const size_t v = rng->UniformInt(n);
+    switch (rng->UniformInt(8)) {
+      case 0:
+      case 1:
+        batch.push_back(Delta::SetAttribute(
+            v, 2 + rng->UniformInt(2),
+            rng->Bernoulli(0.15)
+                ? AttributeValue::Null()
+                : AttributeValue::Number(rng->Uniform(-5.0, 50.0))));
+        break;
+      case 2:
+      case 3:
+        batch.push_back(Delta::SetAttribute(
+            v, 1, rng->Bernoulli(0.1) ? AttributeValue::Null() : random_tags()));
+        break;
+      case 4:
+        batch.push_back(Delta::SetLabel(
+            v, rng->Bernoulli(0.5) ? core::kLabelError : core::kLabelCorrect));
+        break;
+      case 5: {
+        const size_t u = (v + 1 + rng->UniformInt(n - 1)) % n;
+        batch.push_back(Delta::UpsertEdge(v, u, rng->UniformInt(2)));
+        break;
+      }
+      case 6: {
+        if (removed_edge || g.num_edges() == 0) break;
+        const auto& [a, b, type] = g.edges()[rng->UniformInt(g.num_edges())];
+        batch.push_back(Delta::RemoveEdge(a, b, type));
+        removed_edge = true;
+        break;
+      }
+      default: {
+        const size_t type = 1 + rng->UniformInt(kTypes - 1);
+        if (rng->Bernoulli(0.5)) {
+          // Replace: any node of `type`.
+          size_t target = v;
+          while (g.node_type(target) != type) target = (target + 1) % n;
+          batch.push_back(Delta::UpsertNode(target, type, random_values(target)));
+        } else if (batch.empty()) {
+          // Append: first in its batch, so every later delta's node
+          // already exists.
+          batch.push_back(Delta::UpsertNode(n, type, random_values(n)));
+          batch.push_back(Delta::UpsertEdge(n, v, 0));
+        }
+        break;
+      }
+    }
+  }
+  if (batch.empty()) batch.push_back(Delta::SetLabel(0, core::kUnlabeled));
+  return batch;
+}
+
+// Publishing after every batch of a 48-batch seeded stream must match a
+// scratch rebuild byte for byte, while the warm encoder state sees every
+// kind of change: numeric edits, nulls, a token's last occurrence retired,
+// a token another node already holds added, a slot's key-like flag
+// flipping both ways, node replaces and appends, edge adds and removes.
+TEST(VersionedGraphStoreTest, WarmEncoderMatchesScratchOverSeededStream) {
+  auto created = VersionedGraphStore::Create(MakeFourTypeGraph(),
+                                             MakeFourTypeLabels());
+  ASSERT_TRUE(created.ok()) << created.status();
+  VersionedGraphStore& store = *created.value();
+  const core::DiscriminatorSnapshot disc = StoreDiscriminator(store);
+  const graph::AttributedGraph& g = store.graph();
+  util::Rng rng(20261019);
+
+  ExpectMatchesScratch(&store, disc, "base");
+  for (size_t b = 0; b < 48; ++b) {
+    DeltaBatch batch;
+    switch (b) {
+      case 6:
+        // Type 0's names go from 10 distinct of 10 to 8: no longer
+        // key-like, so its rows start reading token rarity.
+        ASSERT_TRUE(SlotKeyLike(g, 0, 0));
+        batch = {Delta::SetAttribute(1, 0, AttributeValue::Text("dup name")),
+                 Delta::SetAttribute(2, 0, AttributeValue::Text("dup name")),
+                 Delta::SetAttribute(3, 0, AttributeValue::Text("dup name"))};
+        break;
+      case 12:
+        // The only "zeta" leaves the graph.
+        ASSERT_EQ(TagCount(g, "zeta"), 1u);
+        batch = {Delta::SetAttribute(15, 1, AttributeValue::Text("beta"))};
+        break;
+      case 18:
+        // A token other nodes hold arrives at one more node.
+        ASSERT_GT(TagCount(g, "gamma"), 0u);
+        batch = {Delta::SetAttribute(22, 1,
+                                     AttributeValue::Text("gamma gamma"))};
+        break;
+      case 24:
+        // 9 distinct of 10 again: key-like once more.
+        ASSERT_FALSE(SlotKeyLike(g, 0, 0));
+        batch = {Delta::SetAttribute(2, 0, AttributeValue::Text("2-renamed"))};
+        break;
+      case 30:
+        // A replace that nulls a text and a numeric value.
+        batch = {Delta::UpsertNode(5, 0,
+                                   {AttributeValue::Text("5-name"),
+                                    AttributeValue::Null(),
+                                    AttributeValue::Number(99.0),
+                                    AttributeValue::Null()})};
+        break;
+      default:
+        batch = RandomBatch(store, &rng);
+    }
+    ASSERT_TRUE(store.ApplyBatch(batch).ok()) << "batch " << b;
+    if (b == 6) {
+      EXPECT_FALSE(SlotKeyLike(g, 0, 0));
+    } else if (b == 12) {
+      EXPECT_EQ(TagCount(g, "zeta"), 0u);
+    } else if (b == 24) {
+      EXPECT_TRUE(SlotKeyLike(g, 0, 0));
+    }
+    ExpectMatchesScratch(&store, disc, "batch_" + std::to_string(b));
+  }
+  // The stream appended nodes and moved edges.
+  EXPECT_GT(g.num_nodes(), kTypes * kPerType);
+  EXPECT_GT(store.ObsReport().CounterOr("gale.store.full_rebuilds"), 1u);
+}
+
+// The encoder state owns its keys: a token whose counted bytes came from
+// a value the graph has since freed still counts, and still compares.
+// Under ASan a state that kept views into the graph would read freed
+// memory here.
+TEST(VersionedGraphStoreTest, EncoderStateOutlivesReplacedStrings) {
+  const std::string shared = "a-shared-token-too-long-for-inline-storage";
+  graph::AttributedGraph g;
+  g.AddNodeType("item", {{"tags", ValueKind::kText},
+                         {"x", ValueKind::kNumeric}});
+  g.AddEdgeType("link");
+  g.AddNode(0, {AttributeValue::Text(shared + " left"),
+                AttributeValue::Number(1.0)});
+  g.AddNode(0, {AttributeValue::Text(shared), AttributeValue::Number(2.0)});
+  for (size_t i = 0; i < 4; ++i) {
+    g.AddNode(0, {AttributeValue::Text("common"),
+                  AttributeValue::Number(static_cast<double>(i))});
+  }
+  for (size_t v = 0; v + 1 < 6; ++v) g.AddEdge(v, v + 1, 0);
+  g.Finalize();
+  auto created = VersionedGraphStore::Create(
+      std::move(g), std::vector<int>(6, core::kUnlabeled));
+  ASSERT_TRUE(created.ok()) << created.status();
+  VersionedGraphStore& store = *created.value();
+  const core::DiscriminatorSnapshot disc = StoreDiscriminator(store);
+  // [type one-hot (1) | log-degree | max |z|, mean |z|, rarity, nulls |...]
+  constexpr size_t kRarity = 1 + 1 + 2;
+  auto rarity_of_node_1 = [&] {
+    auto published = store.PublishSnapshot(disc);
+    EXPECT_TRUE(published.ok()) << published.status();
+    return published.value().snapshot.features().RowPtr(1)[kRarity];
+  };
+
+  // 3 distinct of 6 values: not key-like, so rarity is read. The shared
+  // token is held twice.
+  EXPECT_EQ(rarity_of_node_1(), 1.0 / std::log2(4.0));
+
+  // Node 0's value, whose bytes the shared token was first counted from,
+  // is replaced and freed: node 1 now holds the token alone.
+  ASSERT_TRUE(
+      store.ApplyBatch({Delta::SetAttribute(0, 0, AttributeValue::Text("new"))})
+          .ok());
+  EXPECT_EQ(rarity_of_node_1(), 1.0 / std::log2(3.0));
+
+  // A new node counts the shared token again: its key compares against
+  // the stored bytes.
+  ASSERT_TRUE(store
+                  .ApplyBatch({Delta::UpsertNode(6, 0,
+                                                 {AttributeValue::Text(shared),
+                                                  AttributeValue::Number(7.0)}),
+                               Delta::UpsertEdge(6, 0, 0)})
+                  .ok());
+  EXPECT_EQ(rarity_of_node_1(), 1.0 / std::log2(4.0));
+  ExpectMatchesScratch(&store, disc, "lifetime");
+}
+
+// The publish telemetry of the warm encoder state: the encode span
+// carries the node count and the number of replanned nodes, and the
+// gale.store.nodes_replanned counter adds them up. Create plans every
+// node, so the first publish replans none; an attribute-only epoch with
+// k edits replans exactly those k nodes, not n; label and topology
+// deltas replan none.
+TEST(VersionedGraphStoreTest, PublishReplansOnlyEditedNodes) {
+  auto run = [] {
+    auto store = MakeStore();
+    const core::DiscriminatorSnapshot disc = StoreDiscriminator(*store);
+    auto last_encode_span = [&] {
+      const obs::Report report = store->ObsReport();
+      for (size_t i = report.spans.size(); i-- > 0;) {
+        if (report.spans[i].name == "gale.store.publish.encode") {
+          return report.spans[i];
+        }
+      }
+      ADD_FAILURE() << "no encode span";
+      return obs::SpanRecord{};
+    };
+    EXPECT_TRUE(store->PublishSnapshot(disc).ok());
+    EXPECT_EQ(last_encode_span().ArgOr("nodes", -1.0), kNodes);
+    EXPECT_EQ(last_encode_span().ArgOr("replanned", -1.0), 0.0);
+
+    // k = 3 attribute edits on three nodes (node 9 twice).
+    EXPECT_TRUE(store
+                    ->ApplyBatch({Delta::SetAttribute(
+                                      4, 0, AttributeValue::Text("edited")),
+                                  Delta::SetAttribute(
+                                      9, 1, AttributeValue::Number(1.0)),
+                                  Delta::SetAttribute(
+                                      17, 1, AttributeValue::Null())})
+                    .ok());
+    EXPECT_TRUE(store
+                    ->ApplyBatch({Delta::SetAttribute(
+                        9, 0, AttributeValue::Text("edited again"))})
+                    .ok());
+    EXPECT_TRUE(store->PublishSnapshot(disc).ok());
+    EXPECT_EQ(last_encode_span().ArgOr("nodes", -1.0), kNodes);
+    EXPECT_EQ(last_encode_span().ArgOr("replanned", -1.0), 3.0);
+    EXPECT_EQ(store->ObsReport().CounterOr("gale.store.nodes_replanned"),
+              3u);
+
+    // Labels and edges dirty rows but no values.
+    EXPECT_TRUE(store
+                    ->ApplyBatch({Delta::SetLabel(20, core::kLabelError),
+                                  Delta::UpsertEdge(0, 5, 1)})
+                    .ok());
+    EXPECT_TRUE(store->PublishSnapshot(disc).ok());
+    EXPECT_EQ(last_encode_span().ArgOr("replanned", -1.0), 0.0);
+    EXPECT_EQ(store->ObsReport().CounterOr("gale.store.nodes_replanned"),
+              3u);
+    return store->ObsReport();
+  };
+
+  const obs::Report first = run();
+  const obs::Report second = run();
+  EXPECT_EQ(obs::MetricsJsonLines(first), obs::MetricsJsonLines(second));
+  if (obs::DefaultTimeMode() == obs::TimeMode::kLogical) {
+    EXPECT_EQ(obs::ChromeTraceJson(first), obs::ChromeTraceJson(second));
+  }
 }
 
 }  // namespace
