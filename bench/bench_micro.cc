@@ -139,6 +139,25 @@ void BM_SpMMNarrow(benchmark::State& state) {
 }
 BENCHMARK(BM_SpMMNarrow)->Arg(4400);
 
+// SpMV into a warm buffer on BM_SpMMNarrow's graph: one width-1 sweep,
+// sixty of which make the PPR row of an incremental store publish.
+void BM_SpMV(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  la::SparseMatrix adj = RandomAdjacency(n, n * 3, 2);
+  util::Rng rng(3);
+  std::vector<double> x(n);
+  for (double& v : x) v = rng.Normal();
+  std::vector<double> out;
+  adj.MultiplyVectorInto(x, &out);
+  for (auto _ : state) {
+    adj.MultiplyVectorInto(x, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * adj.nnz());
+}
+BENCHMARK(BM_SpMV)->Arg(4400);
+
 void BM_PprRow(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   la::SparseMatrix adj = RandomAdjacency(n, n * 3, 4);

@@ -586,8 +586,8 @@ GALE_SIMD_AVX2 void GroupedAxpyLine(double* out, const double* x,
 
 // The scalar reference's trees with the sums held in registers across a
 // row's nonzeros: two 4-lane accumulators per 8-column chunk, one per
-// 4-column chunk, one scalar per leftover column (so width 1 is a scalar
-// register sum).
+// 4-column chunk, one scalar per leftover column. (la::SparseMatrix sends
+// width 1 to SlicedGather instead, which puts four rows in the lanes.)
 GALE_SIMD_AVX2 void CsrGatherStrided(const std::size_t* ptr,
                                      const std::uint32_t* idx,
                                      const double* vals, const double* in,
@@ -626,6 +626,54 @@ GALE_SIMD_AVX2 void CsrGatherStrided(const std::size_t* ptr,
         acc += vals[k] * in[static_cast<std::size_t>(idx[k]) * stride + j];
       }
       out_row[j] = acc;
+    }
+  }
+}
+
+// Chunks [c0, c1) of the width-1 strided product over a sliced view
+// (la::SparseMatrix's SELL-C-σ layout, C = 4): chunk c's lanes are the
+// source rows rows[4c..4c+3] (the last chunk may hold fewer, `num_rows`
+// in all), lane l has lens[4c + l] entries, and step s of the chunk
+// holds one entry per lane at idx/vals[4s..4s+3], steps
+// [chunk_ptr[c], chunk_ptr[c + 1]). Lane l's sum starts at +0.0 and adds
+// vals·in[idx·stride] in step order, which is its row's ascending-k CSR
+// order, so each output is CsrGatherStrided's width-1 element. A lane past
+// its row's length gathers an exact 0 (masked, so an inf or NaN at the
+// padding column cannot leak) times a stored 0, and adds +0.0 onto a sum
+// that is never −0.0: the sum is unchanged. The offsets idx·stride are
+// 64-bit products of 32-bit operands (stride < 2^32), so no column id
+// wraps.
+GALE_SIMD_AVX2 void SlicedGather(const std::size_t* chunk_ptr,
+                                 const std::uint32_t* lens,
+                                 const std::uint32_t* rows,
+                                 std::size_t num_rows,
+                                 const std::uint32_t* idx, const double* vals,
+                                 const double* in, std::size_t stride,
+                                 double* out, std::size_t c0,
+                                 std::size_t c1) {
+  const __m256i stride_v = _mm256_set1_epi64x(static_cast<long long>(stride));
+  const __m256d zero = _mm256_setzero_pd();
+  for (std::size_t c = c0; c < c1; ++c) {
+    const __m256i len = _mm256_cvtepu32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(lens + 4 * c)));
+    const std::size_t s0 = chunk_ptr[c];
+    const std::size_t s1 = chunk_ptr[c + 1];
+    __m256d acc = zero;
+    for (std::size_t s = s0; s < s1; ++s) {
+      const __m256d live = _mm256_castsi256_pd(_mm256_cmpgt_epi64(
+          len, _mm256_set1_epi64x(static_cast<long long>(s - s0))));
+      const __m256i col = _mm256_cvtepu32_epi64(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + 4 * s)));
+      const __m256d x = _mm256_mask_i64gather_pd(
+          zero, in, _mm256_mul_epu32(col, stride_v), live, 8);
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_loadu_pd(vals + 4 * s), x));
+    }
+    double sums[4];
+    _mm256_storeu_pd(sums, acc);
+    const std::size_t left = num_rows - 4 * c;
+    const std::size_t lanes = left < 4 ? left : 4;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      out[static_cast<std::size_t>(rows[4 * c + l]) * stride] = sums[l];
     }
   }
 }
@@ -979,6 +1027,32 @@ inline void CsrGatherStrided(const std::size_t* ptr, const std::uint32_t* idx,
   GALE_SIMD_DISPATCH(
       CsrGatherStrided(ptr, idx, vals, in, width, stride, out, r0, r1))
 }
+
+// The sliced gather is AVX2's width-1 product and has no scalar twin: the
+// scalar tier's width-1 product is CsrGatherStrided over the CSR rows,
+// the reference the sliced kernel is checked against. Callers run
+// SlicedGather only while SlicedGatherActive().
+#if GALE_SIMD_X86
+inline bool SlicedGatherActive() { return ActiveIsa() == Isa::kAvx2; }
+
+inline void SlicedGather(const std::size_t* chunk_ptr,
+                         const std::uint32_t* lens, const std::uint32_t* rows,
+                         std::size_t num_rows, const std::uint32_t* idx,
+                         const double* vals, const double* in,
+                         std::size_t stride, double* out, std::size_t c0,
+                         std::size_t c1) {
+  avx2::SlicedGather(chunk_ptr, lens, rows, num_rows, idx, vals, in, stride,
+                     out, c0, c1);
+}
+#else
+inline bool SlicedGatherActive() { return false; }
+
+// Never reached: SlicedGatherActive() is false in this build.
+inline void SlicedGather(const std::size_t*, const std::uint32_t*,
+                         const std::uint32_t*, std::size_t,
+                         const std::uint32_t*, const double*, const double*,
+                         std::size_t, double*, std::size_t, std::size_t) {}
+#endif
 
 inline void Axpy4(double* out, const double* x0, const double* x1,
                   const double* x2, const double* x3, double a0, double a1,

@@ -32,15 +32,17 @@ constexpr size_t kPanelRows = 512;
 constexpr size_t kCursorRows = 256;
 
 // Rows [0, rows) partitioned into contiguous blocks of ~kBlockCostTarget
-// cost each, written into `*blocks` (its capacity is reused). Depends only
-// on the sparsity pattern, never the thread count.
-void BuildRowBlocks(const size_t* row_ptr, size_t rows,
+// cost each, written into `*blocks` (its capacity is reused). A "row" of
+// `row_ptr` may stand for `lanes` rows whose entries sit `lanes` to a slot
+// (the sliced view's chunks of four); it costs what those rows would.
+// Depends only on the sparsity pattern, never the thread count.
+void BuildRowBlocks(const size_t* row_ptr, size_t rows, size_t lanes,
                     simd::AlignedU32Vector* blocks) {
   blocks->clear();
   blocks->push_back(0);
   size_t cost = 0;
   for (size_t r = 0; r < rows; ++r) {
-    cost += kRowCost + (row_ptr[r + 1] - row_ptr[r]);
+    cost += lanes * (kRowCost + (row_ptr[r + 1] - row_ptr[r]));
     if (cost >= kBlockCostTarget) {
       blocks->push_back(static_cast<uint32_t>(r + 1));
       cost = 0;
@@ -101,6 +103,19 @@ __attribute__((noinline)) void GroupedGatherColumns(
 
 }  // namespace
 
+// SELL-C-σ with C = 4 and σ = all rows: the rows stably sorted by
+// descending length and grouped four at a time into chunks, each chunk's
+// entries stored step-major, one entry per lane per step. Lanes past
+// their row's end hold column 0 and value 0.
+struct SparseMatrix::SlicedView {
+  simd::AlignedSizeVector chunk_ptr;  // steps, size chunks + 1
+  simd::AlignedU32Vector len;         // lane lengths, 4 per chunk
+  simd::AlignedU32Vector row;         // source row of each lane, size rows
+  simd::AlignedU32Vector idx;         // 4 column ids per step
+  simd::AlignedVector val;            // 4 values per step
+  simd::AlignedU32Vector block;       // cost-balanced, over chunks
+};
+
 SparseMatrix SparseMatrix::FromTriplets(size_t rows, size_t cols,
                                         std::vector<Triplet> triplets) {
   // The packed layout indexes columns with uint32 and block starts (row
@@ -139,7 +154,7 @@ SparseMatrix SparseMatrix::FromTriplets(size_t rows, size_t cols,
     i = j;
   }
   for (size_t r = 0; r < rows; ++r) m.row_ptr_[r + 1] += m.row_ptr_[r];
-  BuildRowBlocks(m.row_ptr_.data(), rows, &m.block_row_);
+  BuildRowBlocks(m.row_ptr_.data(), rows, 1, &m.block_row_);
   return m;
 }
 
@@ -199,8 +214,9 @@ void SparseMatrix::AssignFromDense(std::initializer_list<const Matrix*> blocks,
   });
   col_idx_.resize(nnz);
   values_.resize(nnz);
-  BuildRowBlocks(row_ptr_.data(), rows, &block_row_);
+  BuildRowBlocks(row_ptr_.data(), rows, 1, &block_row_);
   BuildTransposeView();
+  sliced_.reset();
 
   const size_t after[] = {
       row_ptr_.capacity(), col_idx_.capacity(), values_.capacity(),
@@ -223,19 +239,72 @@ SparseMatrix SparseMatrix::NormalizedAdjacency(
   }
   std::vector<double> inv_sqrt(n);
   for (size_t i = 0; i < n; ++i) inv_sqrt[i] = 1.0 / std::sqrt(degree[i]);
+  GALE_CHECK(n < std::numeric_limits<uint32_t>::max())
+      << "CSR row count overflows the packed uint32 layout";
 
-  std::vector<Triplet> triplets;
-  triplets.reserve(2 * edges.size() + n);
-  for (size_t i = 0; i < n; ++i) {
-    triplets.push_back({i, i, inv_sqrt[i] * inv_sqrt[i]});
-  }
+  // The pattern is A + I made symmetric: the self loop plus both
+  // directions of each non-loop edge. It is built without sorting triplets.
+  // First every node lists its entries' columns in edge order (`adj`),
+  // then visiting the columns c in ascending order and appending c to the
+  // rows r that c lists puts every row's columns in ascending order: the
+  // pattern is symmetric, so r lists c as often as c lists r.
+  std::vector<size_t> start(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) start[i + 1] = 1;
   for (const auto& [u, v] : edges) {
-    if (u == v) continue;  // self loops already added above
-    const double w = inv_sqrt[u] * inv_sqrt[v];
-    triplets.push_back({u, v, w});
-    triplets.push_back({v, u, w});
+    if (u == v) continue;  // self loops are the diagonal entry
+    start[u + 1] += 1;
+    start[v + 1] += 1;
   }
-  return FromTriplets(n, n, std::move(triplets));
+  for (size_t i = 0; i < n; ++i) start[i + 1] += start[i];
+  std::vector<uint32_t> adj(start[n]);
+  std::vector<size_t> cursor(n);
+  std::copy(start.begin(), start.end() - 1, cursor.begin());
+  for (size_t i = 0; i < n; ++i) adj[cursor[i]++] = static_cast<uint32_t>(i);
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    adj[cursor[u]++] = static_cast<uint32_t>(v);
+    adj[cursor[v]++] = static_cast<uint32_t>(u);
+  }
+
+  SparseMatrix m;
+  m.rows_ = n;
+  m.cols_ = n;
+  m.col_idx_.resize(start[n]);
+  m.values_.resize(start[n]);
+  std::copy(start.begin(), start.end() - 1, cursor.begin());
+  for (size_t c = 0; c < n; ++c) {
+    for (size_t k = start[c]; k < start[c + 1]; ++k) {
+      const size_t r = adj[k];
+      const size_t pos = cursor[r]++;
+      m.col_idx_[pos] = static_cast<uint32_t>(c);
+      // inv_sqrt[u] * inv_sqrt[v] for the edge (u, v) in either direction:
+      // a product does not depend on its operands' order.
+      m.values_[pos] = inv_sqrt[r] * inv_sqrt[c];
+    }
+  }
+
+  // Sum the duplicate entries of multi-edges in place. They carry equal
+  // weights, so the sum is the one FromTriplets forms in any order.
+  m.row_ptr_.resize(n + 1);
+  m.row_ptr_[0] = 0;
+  size_t out = 0;
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t k = start[r]; k < start[r + 1];) {
+      const uint32_t col = m.col_idx_[k];
+      double sum = 0.0;
+      for (; k < start[r + 1] && m.col_idx_[k] == col; ++k) {
+        sum += m.values_[k];
+      }
+      m.col_idx_[out] = col;
+      m.values_[out] = sum;
+      ++out;
+    }
+    m.row_ptr_[r + 1] = out;
+  }
+  m.col_idx_.resize(out);
+  m.values_.resize(out);
+  BuildRowBlocks(m.row_ptr_.data(), n, 1, &m.block_row_);
+  return m;
 }
 
 Matrix SparseMatrix::Multiply(const Matrix& dense) const {
@@ -257,6 +326,19 @@ void SparseMatrix::MultiplyStridedInto(const double* in, size_t width,
                                        size_t stride, double* out) const {
   GALE_CHECK(width > 0 && width <= stride) << "strided SpMM width/stride";
   GALE_CHECK(in != out) << "MultiplyStridedInto aliased output";
+  // A single column puts four rows in the lanes of one accumulator, over
+  // the sliced view; its shards are fixed chunk ranges, so the bits are
+  // the same at every thread count.
+  if (width == 1 && stride <= std::numeric_limits<uint32_t>::max() &&
+      simd::SlicedGatherActive()) {
+    const SlicedView& v = EnsureSlicedView();
+    util::ParallelFor(0, v.block.size() - 1, 1, [&](size_t b0, size_t b1) {
+      simd::SlicedGather(v.chunk_ptr.data(), v.len.data(), v.row.data(),
+                         rows_, v.idx.data(), v.val.data(), in, stride, out,
+                         v.block[b0], v.block[b1]);
+    });
+    return;
+  }
   util::ParallelFor(0, num_row_blocks(), 1, [&](size_t b0, size_t b1) {
     // One ISA dispatch per shard, not one per nonzero.
     simd::CsrGatherStrided(row_ptr_.data(), col_idx_.data(), values_.data(),
@@ -273,6 +355,59 @@ void SparseMatrix::EnsureTransposeView() const {
   GALE_DCHECK(!util::InParallelRegion())
       << "transpose view first built inside a parallel region";
   BuildTransposeView();
+}
+
+const SparseMatrix::SlicedView& SparseMatrix::EnsureSlicedView() const {
+  if (sliced_ != nullptr) return *sliced_;
+  GALE_DCHECK(!util::InParallelRegion())
+      << "sliced view first built inside a parallel region";
+  auto view = std::make_shared<SlicedView>();
+  // Stable counting sort of the rows by descending length, so each chunk
+  // of four holds rows of (nearly) equal length and pads little.
+  size_t max_len = 0;
+  for (size_t r = 0; r < rows_; ++r) {
+    max_len = std::max<size_t>(max_len, row_ptr_[r + 1] - row_ptr_[r]);
+  }
+  std::vector<size_t> slot(max_len + 2, 0);
+  for (size_t r = 0; r < rows_; ++r) {
+    slot[max_len - (row_ptr_[r + 1] - row_ptr_[r]) + 1] += 1;
+  }
+  for (size_t b = 0; b <= max_len; ++b) slot[b + 1] += slot[b];
+  view->row.resize(rows_);
+  for (size_t r = 0; r < rows_; ++r) {
+    view->row[slot[max_len - (row_ptr_[r + 1] - row_ptr_[r])]++] =
+        static_cast<uint32_t>(r);
+  }
+
+  // A chunk is as many steps long as its first (longest) row.
+  const size_t chunks = (rows_ + 3) / 4;
+  view->len.assign(4 * chunks, 0);
+  for (size_t i = 0; i < rows_; ++i) {
+    const size_t r = view->row[i];
+    view->len[i] = static_cast<uint32_t>(row_ptr_[r + 1] - row_ptr_[r]);
+  }
+  view->chunk_ptr.resize(chunks + 1);
+  view->chunk_ptr[0] = 0;
+  for (size_t c = 0; c < chunks; ++c) {
+    view->chunk_ptr[c + 1] = view->chunk_ptr[c] + view->len[4 * c];
+  }
+  const size_t steps = view->chunk_ptr[chunks];
+  view->idx.assign(4 * steps, 0);
+  view->val.assign(4 * steps, 0.0);
+  for (size_t i = 0; i < rows_; ++i) {
+    const size_t r = view->row[i];
+    // Lane i % 4 of chunk i / 4; entry k is step k - row_ptr_[r] of it.
+    size_t pos = 4 * view->chunk_ptr[i / 4] + i % 4;
+    for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k, pos += 4) {
+      // The kernel's gathers are invisible to ASan: check the columns here.
+      GALE_DCHECK_LT(col_idx_[k], cols_) << "CSR column out of range";
+      view->idx[pos] = col_idx_[k];
+      view->val[pos] = values_[k];
+    }
+  }
+  BuildRowBlocks(view->chunk_ptr.data(), chunks, 4, &view->block);
+  sliced_ = std::move(view);
+  return *sliced_;
 }
 
 void SparseMatrix::BuildTransposeView() const {
@@ -299,7 +434,7 @@ void SparseMatrix::BuildTransposeView() const {
   }
   for (size_t c = cols_; c > 0; --c) t_ptr_[c] = t_ptr_[c - 1];
   t_ptr_[0] = 0;
-  BuildRowBlocks(t_ptr_.data(), cols_, &t_block_row_);
+  BuildRowBlocks(t_ptr_.data(), cols_, 1, &t_block_row_);
   transpose_built_ = true;
 }
 
@@ -343,19 +478,7 @@ void SparseMatrix::MultiplyVectorInto(const std::vector<double>& v,
   GALE_CHECK_EQ(cols_, v.size());
   GALE_CHECK(out != &v) << "MultiplyVectorInto aliased output";
   out->resize(rows_);
-  // Deliberately scalar: each output entry is one sequential accumulator
-  // over an irregular gather (v[col_idx_[k]]), so there is no independent
-  // output-element direction to vectorize without changing the summation
-  // order — and SpMV is a negligible share of the training loop. The
-  // batched PPR path uses MultiplyStridedInto instead, where the seed
-  // batch supplies that independent direction.
-  for (size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (size_t k = RowBegin(r); k < RowEnd(r); ++k) {
-      acc += values_[k] * v[col_idx_[k]];
-    }
-    (*out)[r] = acc;
-  }
+  if (rows_ > 0) MultiplyStridedInto(v.data(), 1, 1, out->data());
 }
 
 Matrix SparseMatrix::ToDense() const {

@@ -17,12 +17,27 @@
 //    independent gather, so results stay bitwise identical at every
 //    GALE_NUM_THREADS setting.
 //
-// MultiplyInto and MultiplyStridedInto run one CSR gather
-// (simd::CsrGatherStrided, dispatched once per shard): row-parallel over
-// disjoint output rows (util::ParallelFor), every element summed from +0.0
-// in ascending nonzero order, so the results are bitwise identical at
+// MultiplyInto, MultiplyStridedInto and MultiplyVectorInto run one CSR
+// gather (simd::CsrGatherStrided, dispatched once per shard): row-parallel
+// over disjoint output rows (util::ParallelFor), every element summed from
+// +0.0 in ascending nonzero order, so the results are bitwise identical at
 // every GALE_NUM_THREADS setting and ISA. The GCN layers, label
-// propagation, GAugment's neighbour mean and the PPR batches all use it.
+// propagation, GAugment's neighbour mean and PPR all use it.
+//
+// A single column (width 1: an SpMV, a one-seed PPR sweep) has no output
+// columns to put in SIMD lanes, so on AVX2 it runs over a sliced view
+// instead (SELL-C-σ with C = 4; Kreutzer et al., SIAM J. Sci. Comput.
+// 2014): the rows stably sorted by length and grouped four at a time,
+// each chunk's entries stored step-major, so one 4-lane accumulator sums
+// four rows (simd::SlicedGather). Each lane adds its row's terms in
+// ascending k from +0.0 and a lane past its row's end adds an exact +0.0,
+// so every element keeps the CSR gather's bits; the shards are fixed chunk
+// ranges. The view costs about 12 bytes per nonzero (plus padding, small
+// once the rows are sorted). It is built by the first width-1 product,
+// under the transpose view's contract: that product runs outside parallel
+// regions and alone on the matrix. Copies share the built view, and
+// AssignFromDense drops it. The scalar tier keeps the CSR gather at every
+// width.
 //
 // Two products serve a different contract. GroupedMultiplyInto and
 // GroupedTransposedMultiplyInto are the dense Matrix::MatMulInto /
@@ -42,6 +57,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <vector>
 
 #include "la/matrix.h"
@@ -122,8 +138,9 @@ class SparseMatrix {
   // overwriting (zero-filling) the live columns of every output row and
   // leaving columns [width, stride) untouched. Column j's accumulation
   // order over k is exactly MultiplyVectorInto's, so each live column is
-  // bitwise identical to a separate SpMV of that column. `out` must not
-  // alias `in`; both row strides must be >= width.
+  // bitwise identical to a separate SpMV of that column. Width 1 runs over
+  // the sliced view on AVX2 (see the file comment). `out` must not alias
+  // `in`; both row strides must be >= width.
   void MultiplyStridedInto(const double* in, size_t width, size_t stride,
                            double* out) const;
 
@@ -143,8 +160,9 @@ class SparseMatrix {
   // output row adds its groups in ascending source-row order.
   void GroupedTransposedMultiplyInto(const Matrix& b, Matrix* out) const;
 
-  // Sparse-matrix by dense-vector product; reuses `out`'s capacity
-  // (steady state: no allocation). `out` must not alias `v`.
+  // Sparse-matrix by dense-vector product, MultiplyStridedInto at width =
+  // stride = 1; reuses `out`'s capacity (steady state: no allocation).
+  // `out` must not alias `v`.
   void MultiplyVectorInto(const std::vector<double>& v,
                           std::vector<double>* out) const;
 
@@ -152,9 +170,15 @@ class SparseMatrix {
   Matrix ToDense() const;
 
  private:
+  // The length-sorted sliced layout (sparse_matrix.cc).
+  struct SlicedView;
+
   void EnsureTransposeView() const;
   // Builds the transpose view from the CSR arrays, reusing its buffers.
   void BuildTransposeView() const;
+  // Builds the sliced view on its first use (same contract as the
+  // transpose view: outside parallel regions, dropped by AssignFromDense).
+  const SlicedView& EnsureSlicedView() const;
 
   size_t rows_;
   size_t cols_;
@@ -173,6 +197,11 @@ class SparseMatrix {
   mutable simd::AlignedU32Vector t_idx_;         // source rows, size nnz
   mutable simd::AlignedVector t_val_;            // size nnz
   mutable simd::AlignedU32Vector t_block_row_;   // nnz-balanced, over cols_
+
+  // Cached sliced view for the width-1 product, built lazily on the
+  // first width-1 product that runs on AVX2. It never changes once built,
+  // so copies share it; AssignFromDense drops this matrix's reference.
+  mutable std::shared_ptr<const SlicedView> sliced_;
 };
 
 }  // namespace gale::la

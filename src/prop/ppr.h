@@ -18,7 +18,13 @@
 // masking (converged columns retire and the surviving columns compact
 // left, dropping out of both the SpMM and the damp pass). Every extracted
 // row is bitwise identical to what the serial Row(v) path computes, at any
-// thread count and any batch size.
+// thread count, ISA and batch size.
+//
+// A row computed alone (a Row(v) miss, or a batch down to one live
+// column, which is every incremental store publish) is a width-1 product
+// per sweep. On AVX2 it runs over the walk's sliced view, four rows per
+// vector accumulator (la/sparse_matrix.h), built by the first such sweep
+// and kept with the walk; each element keeps the CSR gather's bits.
 
 #ifndef GALE_PROP_PPR_H_
 #define GALE_PROP_PPR_H_

@@ -1,8 +1,10 @@
 #include "la/sparse_matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -88,6 +90,58 @@ TEST(NormalizedAdjacencyTest, EntriesMatchFormula) {
   Matrix dense = s.ToDense();
   EXPECT_NEAR(dense.At(0, 1), 0.5, 1e-12);
   EXPECT_NEAR(dense.At(0, 0), 0.5, 1e-12);
+}
+
+TEST(NormalizedAdjacencyTest, MatchesTripletBuildBitwise) {
+  // Duplicate typed edges (a pair repeated, and repeated reversed),
+  // self-loop edges, a hub and isolated nodes: the counting build must
+  // give the triplet build's row pointers, columns and values byte for
+  // byte.
+  util::Rng rng(81);
+  const size_t n = 300;
+  std::vector<std::pair<size_t, size_t>> edges;
+  for (size_t e = 0; e < 900; ++e) {
+    // Nodes [n - 20, n) stay isolated.
+    const size_t u = e % 11 == 0 ? 0 : rng.UniformInt(n - 20);
+    const size_t v = e % 9 == 0 ? u : rng.UniformInt(n - 20);
+    edges.emplace_back(u, v);
+    if (e % 4 == 0) edges.emplace_back(u, v);
+    if (e % 7 == 0) edges.emplace_back(v, u);
+  }
+  std::vector<double> degree(n, 1.0);
+  for (const auto& [u, v] : edges) {
+    degree[u] += 1.0;
+    degree[v] += 1.0;
+  }
+  std::vector<double> inv_sqrt(n);
+  for (size_t i = 0; i < n; ++i) inv_sqrt[i] = 1.0 / std::sqrt(degree[i]);
+  std::vector<Triplet> triplets;
+  for (size_t i = 0; i < n; ++i) {
+    triplets.push_back({i, i, inv_sqrt[i] * inv_sqrt[i]});
+  }
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    const double w = inv_sqrt[u] * inv_sqrt[v];
+    triplets.push_back({u, v, w});
+    triplets.push_back({v, u, w});
+  }
+  const SparseMatrix want = SparseMatrix::FromTriplets(n, n, triplets);
+  const SparseMatrix got = SparseMatrix::NormalizedAdjacency(n, edges);
+
+  ASSERT_EQ(got.rows(), n);
+  ASSERT_EQ(got.cols(), n);
+  ASSERT_EQ(got.nnz(), want.nnz());
+  for (size_t r = 0; r < n; ++r) {
+    ASSERT_EQ(got.RowBegin(r), want.RowBegin(r)) << "row " << r;
+  }
+  ASSERT_EQ(got.RowEnd(n - 1), want.RowEnd(n - 1));
+  for (size_t k = 0; k < want.nnz(); ++k) {
+    ASSERT_EQ(got.ColIndex(k), want.ColIndex(k)) << "entry " << k;
+    const double g = got.Value(k);
+    const double w = want.Value(k);
+    ASSERT_EQ(0, std::memcmp(&g, &w, sizeof(double))) << "entry " << k;
+  }
+  EXPECT_EQ(got.num_row_blocks(), want.num_row_blocks());
 }
 
 TEST(SparseMatrixTest, EmptyRowsStayZeroInEveryProduct) {
@@ -366,6 +420,138 @@ TEST(GroupedProductTest, InPlaceRebuildLeavesNoStaleEntries) {
   const uint64_t before_growth = BufferAllocations();
   s.AssignFromDense({&bigger}, 40);
   EXPECT_GT(BufferAllocations(), before_growth);
+}
+
+// --- the width-1 product ----------------------------------------------------
+
+// out[r * stride] = Σ_k value·in[col·stride] in ascending k, from +0.0: the
+// plain CSR loop every width-1 product must reproduce bit for bit.
+std::vector<double> CsrLoop(const SparseMatrix& s, const double* in,
+                            size_t stride) {
+  std::vector<double> out(s.rows());
+  for (size_t r = 0; r < s.rows(); ++r) {
+    double acc = 0.0;
+    for (size_t k = s.RowBegin(r); k < s.RowEnd(r); ++k) {
+      acc += s.Value(k) * in[s.ColIndex(k) * stride];
+    }
+    out[r] = acc;
+  }
+  return out;
+}
+
+// rows x cols with an empty row every fifth, a hub row (row 1, when it
+// exists) that references every column but the first and the last, and
+// short rows of 1-3 entries, so only short rows reference column 0 and
+// column cols - 1.
+SparseMatrix HubAndShortRows(size_t rows, size_t cols, util::Rng& rng) {
+  std::vector<Triplet> triplets;
+  for (size_t r = 0; r < rows; ++r) {
+    if (r % 5 == 4) continue;
+    if (r == 1 && cols > 2) {
+      for (size_t c = 1; c + 1 < cols; ++c) {
+        triplets.push_back({r, c, rng.Normal()});
+      }
+      continue;
+    }
+    const size_t len = 1 + rng.UniformInt(3);
+    for (size_t e = 0; e < len; ++e) {
+      triplets.push_back({r, rng.UniformInt(cols), rng.Normal()});
+    }
+  }
+  return SparseMatrix::FromTriplets(rows, cols, std::move(triplets));
+}
+
+// Checks MultiplyStridedInto at width 1 (stride 1 and 7) and
+// MultiplyVectorInto against CsrLoop on every ISA at 1 and 4 threads,
+// bytewise, with the columns past the live one untouched. `in` holds
+// cols x 7 doubles.
+void ExpectWidthOneMatchesCsrLoop(const SparseMatrix& s,
+                                  const std::vector<double>& in,
+                                  const std::string& what) {
+  constexpr double kPoison = -777.25;
+  for (size_t stride : {size_t{1}, size_t{7}}) {
+    const std::vector<double> want = CsrLoop(s, in.data(), stride);
+    for (int threads : {1, 4}) {
+      util::ScopedParallelism p(threads);
+      for (simd::Isa isa : IsasUnderTest()) {
+        simd::ScopedIsaOverride pin(isa);
+        const std::string where = what + " stride=" + std::to_string(stride) +
+                                  " threads=" + std::to_string(threads) +
+                                  " isa=" + simd::IsaName(isa);
+        std::vector<double> out(std::max<size_t>(1, s.rows() * stride),
+                                kPoison);
+        s.MultiplyStridedInto(in.data(), 1, stride, out.data());
+        for (size_t r = 0; r < s.rows(); ++r) {
+          ASSERT_EQ(0, std::memcmp(&out[r * stride], &want[r], sizeof(double)))
+              << where << " row " << r;
+          for (size_t j = 1; j < stride; ++j) {
+            ASSERT_EQ(out[r * stride + j], kPoison) << where << " row " << r;
+          }
+        }
+        if (stride == 1) {
+          std::vector<double> got;
+          s.MultiplyVectorInto(
+              std::vector<double>(in.begin(), in.begin() + s.cols()), &got);
+          ASSERT_EQ(got.size(), want.size());
+          EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                   want.size() * sizeof(double)))
+              << "SpMV " << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(WidthOneProductTest, MatchesCsrLoopBitwise) {
+  // n = 1, 2, 3 and 5 leave ragged last chunks of four; 4401 is an SP-sized
+  // walk with a hub row, empty rows and several row blocks.
+  util::Rng rng(71);
+  for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{5}, size_t{4401}}) {
+    const SparseMatrix s = HubAndShortRows(n, n, rng);
+    std::vector<double> in(n * 7);
+    for (double& v : in) v = rng.Normal();
+    ExpectWidthOneMatchesCsrLoop(s, in, "n=" + std::to_string(n));
+  }
+}
+
+TEST(WidthOneProductTest, NonFiniteInputsStayInTheirRows) {
+  // inf and NaN at the columns only short rows reference (column 0 is
+  // also what dead lanes of a ragged chunk point at): the rows that
+  // reference them read inf/NaN, and no other row may.
+  util::Rng rng(72);
+  for (size_t n : {size_t{5}, size_t{13}, size_t{4401}}) {
+    const SparseMatrix s = HubAndShortRows(n, n, rng);
+    std::vector<double> in(n * 7);
+    for (double& v : in) v = rng.Normal();
+    // Column 0 at both strides, column n - 1 at stride 1 and at stride 7.
+    in[0] = std::numeric_limits<double>::quiet_NaN();
+    in[n - 1] = std::numeric_limits<double>::infinity();
+    in[(n - 1) * 7] = -std::numeric_limits<double>::infinity();
+    ExpectWidthOneMatchesCsrLoop(s, in, "non-finite n=" + std::to_string(n));
+  }
+}
+
+TEST(WidthOneProductTest, RebuiltAndCopiedMatricesUseTheirOwnPattern) {
+  // The sliced view is built on the first width-1 product: a copy carries
+  // it (or builds its own), and AssignFromDense with a new pattern drops
+  // it, so no product reads a stale view.
+  util::Rng rng(73);
+  const Matrix first = MostlyZero(30, 30, 0.5, rng);
+  const Matrix second = MostlyZero(23, 30, 0.1, rng);
+  std::vector<double> in(30 * 7);
+  for (double& v : in) v = rng.Normal();
+
+  SparseMatrix s;
+  s.AssignFromDense({&first}, 30);
+  const SparseMatrix unbuilt_copy = s;
+  ExpectWidthOneMatchesCsrLoop(s, in, "first pattern");
+  const SparseMatrix built_copy = s;
+  s.AssignFromDense({&second}, 23);
+  ExpectWidthOneMatchesCsrLoop(s, in, "second pattern");
+  ExpectWidthOneMatchesCsrLoop(built_copy, in, "copy after build");
+  ExpectWidthOneMatchesCsrLoop(unbuilt_copy, in, "copy before build");
+  s.AssignFromDense({&first}, 30);
+  ExpectWidthOneMatchesCsrLoop(s, in, "first pattern again");
 }
 
 }  // namespace

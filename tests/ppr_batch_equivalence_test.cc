@@ -1,8 +1,11 @@
 // Batched-PPR equivalence: ComputeRows' blocked power iteration must
 // produce rows byte-identical to the serial Row(v) path for every seed,
-// at every batch size and every thread count. The _mt4 ctest entry reruns
-// the whole file at GALE_NUM_THREADS=4; the loops below additionally pin
-// 1 and 4 threads explicitly so a single run covers both.
+// at every batch size, thread count and ISA. Row(v) and a single-seed
+// batch share the width-1 product, so the reference is Row(v) under the
+// scalar tier (the CSR gather), never the tier under test. The _mt4 ctest
+// entry reruns the whole file at GALE_NUM_THREADS=4; the loops below
+// additionally pin 1 and 4 threads explicitly so a single run covers
+// both.
 
 #include <cstring>
 #include <vector>
@@ -61,25 +64,29 @@ void CheckBatchedMatchesSerial(const PprOptions& base_options) {
   const std::vector<size_t> seeds = TestSeeds(n);
 
   // Serial reference rows, computed one by one through the Row(v) miss
-  // path at a single thread.
+  // path at a single thread on the scalar tier.
   std::vector<std::vector<double>> reference(n);
   {
+    la::simd::ScopedIsaOverride pin(la::simd::Isa::kScalar);
     util::ScopedParallelism p(1);
     PprEngine serial(&walk, base_options);
     for (size_t v : seeds) reference[v] = serial.Row(v);
   }
 
-  for (int threads : {1, 4}) {
-    util::ScopedParallelism p(threads);
-    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}}) {
-      PprOptions options = base_options;
-      options.batch_size = batch_size;
-      PprEngine batched(&walk, options);
-      batched.ComputeRows(seeds);
-      for (size_t v : seeds) {
-        ASSERT_TRUE(batched.IsCached(v));
-        ExpectBytesEqual(batched.Row(v), reference[v], v, batch_size,
-                         threads);
+  for (la::simd::Isa isa : {la::simd::Isa::kScalar, la::simd::Isa::kAvx2}) {
+    la::simd::ScopedIsaOverride pin(isa);
+    for (int threads : {1, 4}) {
+      util::ScopedParallelism p(threads);
+      for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}}) {
+        PprOptions options = base_options;
+        options.batch_size = batch_size;
+        PprEngine batched(&walk, options);
+        batched.ComputeRows(seeds);
+        for (size_t v : seeds) {
+          ASSERT_TRUE(batched.IsCached(v));
+          ExpectBytesEqual(batched.Row(v), reference[v], v, batch_size,
+                           threads);
+        }
       }
     }
   }
@@ -172,6 +179,7 @@ TEST(PprBatchEquivalenceTest, PartiallyCachedBatchOnlyComputesMissing) {
   // 30 even seeds; 5 is odd so only 20 was already cached.
   EXPECT_EQ(ppr.num_computed_rows(), 2u + (seeds.size() - 1));
 
+  la::simd::ScopedIsaOverride pin(la::simd::Isa::kScalar);
   PprEngine serial(&walk, PprOptions{});
   for (size_t v : seeds) {
     const std::vector<double> want = serial.Row(v);

@@ -447,6 +447,29 @@ TEST(SimdEquivalenceTest, SparseMultiply) {
         return out;
       },
       "MultiplyInto(warm)");
+  // Width 1 runs over the sliced view on AVX2 and the CSR rows on the
+  // scalar tier: as a one-column MultiplyInto, as an SpMV, and as one
+  // live column of a wider layout (stride 33, offset rows).
+  const la::Matrix x1 = RandomMatrix(300, 1, 32);
+  ExpectIsaInvariant([&] { return s.Multiply(x1); }, "SpMM width 1");
+  ExpectIsaInvariant(
+      [&] {
+        const std::vector<double> v(x1.data().begin(), x1.data().end());
+        std::vector<double> out;
+        s.MultiplyVectorInto(v, &out);
+        la::Matrix flat(1, out.size());
+        for (size_t i = 0; i < out.size(); ++i) flat.At(0, i) = out[i];
+        return flat;
+      },
+      "SpMV");
+  ExpectIsaInvariant(
+      [&] {
+        la::Matrix out(300, 33);
+        out.Fill(kPoison);
+        s.MultiplyStridedInto(x.RowPtr(0) + 3, 1, 33, out.RowPtr(0) + 2);
+        return out;
+      },
+      "strided width 1");
 }
 
 // --- nn sweeps -------------------------------------------------------------
@@ -521,6 +544,19 @@ TEST(SimdEquivalenceTest, PprRows) {
         return flat;
       },
       "PPR rows");
+  // Uncached Row() calls run the SpMV, the width-1 product.
+  ExpectIsaInvariant(
+      [&] {
+        prop::PprEngine engine(&s, prop::PprOptions{.cache_rows = false});
+        const size_t seeds[] = {3, 120};
+        la::Matrix flat(2, 200);
+        for (size_t i = 0; i < 2; ++i) {
+          const std::vector<double>& row = engine.Row(seeds[i]);
+          for (size_t j = 0; j < row.size(); ++j) flat.At(i, j) = row[j];
+        }
+        return flat;
+      },
+      "PPR Row misses");
 }
 
 // --- dispatch plumbing -----------------------------------------------------

@@ -126,13 +126,15 @@ for stage in "${stages[@]}"; do
         util_thread_pool_test la_parallel_equivalence_test \
         la_into_equivalence_test nn_alloc_free_test \
         eval_determinism_test prop_test la_pca_kmeans_test \
-        core_selector_test
+        core_selector_test la_sparse_test ppr_batch_equivalence_test
       # The *_mt4 ctest entries pin GALE_NUM_THREADS=4; re-run the
       # kernel-heavy suites at a wider 8 threads for extra interleavings.
+      # la_sparse and ppr_batch_equivalence cover the lazily built sliced
+      # view and its chunk-sharded width-1 gather.
       ctest --test-dir "${build_dir}" --output-on-failure \
-        -R '^(util_thread_pool|la_parallel_equivalence|la_into_equivalence|nn_alloc_free|eval_determinism|prop|la_pca_kmeans|core_selector)_test(_mt4)?$'
+        -R '^(util_thread_pool|la_parallel_equivalence|la_into_equivalence|nn_alloc_free|eval_determinism|prop|la_pca_kmeans|core_selector|la_sparse|ppr_batch_equivalence)_test(_mt4)?$'
       GALE_NUM_THREADS=8 ctest --test-dir "${build_dir}" --output-on-failure \
-        -R '(util_thread_pool|la_parallel_equivalence|la_into_equivalence)_test$'
+        -R '(util_thread_pool|la_parallel_equivalence|la_into_equivalence|la_sparse|ppr_batch_equivalence)_test$'
       ;;
     simdoff)
       run_stage "GALE_SIMD=OFF scalar fallback"
