@@ -147,10 +147,10 @@ void BM_SpMV(benchmark::State& state) {
   util::Rng rng(3);
   std::vector<double> x(n);
   for (double& v : x) v = rng.Normal();
-  std::vector<double> out;
-  adj.MultiplyVectorInto(x, &out);
+  std::vector<double> out(n);
+  adj.MultiplyStridedInto(x.data(), 1, 1, out.data());
   for (auto _ : state) {
-    adj.MultiplyVectorInto(x, &out);
+    adj.MultiplyStridedInto(x.data(), 1, 1, out.data());
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }

@@ -1,10 +1,9 @@
-// Batched-PPR throughput bench: the per-seed power iteration (Row() miss
-// path, one CSR traversal per seed per sweep) against the blocked
-// multi-seed formulation (ComputeRows(), one strided SpMM per sweep for
-// the whole batch). Both produce bitwise-identical rows — see
-// ppr_batch_equivalence_test — so this measures the traversal reuse alone.
-// The acceptance bar for the blocked path is >= 2x over per-seed at one
-// thread, where the comparison is pure arithmetic-intensity (no pool).
+// Batched-PPR throughput bench: 64 Row() misses, each a one-seed batch
+// (one CSR traversal per seed per sweep), against one ComputeRows() call
+// over the same seeds (one strided SpMM per sweep for the whole batch).
+// Both run the engine's single power-iteration loop and produce
+// bitwise-identical rows — see ppr_batch_equivalence_test — so this
+// measures the traversal reuse alone.
 //
 // With GALE_BENCH_JSON_DIR set, per-(workload, threads) medians are also
 // written to $GALE_BENCH_JSON_DIR/BENCH_ppr_batch.json for
@@ -90,25 +89,19 @@ int main(int argc, char** argv) {
                          prop::PprEngine engine(&walk);
                          for (size_t v : seeds) (void)engine.Row(v);
                        }});
-  workloads.push_back({"PPR batched b8 64 rows", [&] {
-                         prop::PprEngine engine(&walk,
-                                                {.batch_size = 8});
-                         engine.ComputeRows(seeds);
-                       }});
+  // "b64" names the engine's batch width of 64 seeds.
   workloads.push_back({"PPR batched b64 64 rows", [&] {
-                         prop::PprEngine engine(&walk,
-                                                {.batch_size = 64});
+                         prop::PprEngine engine(&walk);
                          engine.ComputeRows(seeds);
                        }});
   // The store's shapes: an incremental publish computes one row, a cold
-  // rebuild's influence bake about ten, each a narrow batch of a b64
-  // engine.
+  // rebuild's influence bake about ten, each a narrow batch.
   for (const size_t rows : {size_t{1}, size_t{10}}) {
     workloads.push_back(
         {"PPR batched b64 " + std::to_string(rows) +
              (rows == 1 ? " row" : " rows"),
          [&walk, &seeds, rows] {
-           prop::PprEngine engine(&walk, {.batch_size = 64});
+           prop::PprEngine engine(&walk);
            engine.ComputeRows(std::span<const size_t>(seeds.data(), rows));
          }});
   }

@@ -95,10 +95,6 @@ util::Result<void> QuerySelectorOptions::Validate() const {
     return util::Status::InvalidArgument(
         "QuerySelectorOptions: ppr_alpha must be in (0, 1)");
   }
-  if (ppr_batch_size == 0) {
-    return util::Status::InvalidArgument(
-        "QuerySelectorOptions: ppr_batch_size must be > 0");
-  }
   return {};
 }
 
@@ -109,8 +105,7 @@ QuerySelector::QuerySelector(const la::SparseMatrix* walk_matrix,
       rng_(options.seed),
       ppr_(walk_matrix,
            prop::PprOptions{.alpha = options.ppr_alpha,
-                            .cache_rows = options.memoization,
-                            .batch_size = options.ppr_batch_size}),
+                            .cache_rows = options.memoization}),
       registry_(obs::CurrentRegistry() != nullptr ? obs::CurrentRegistry()
                                                   : &own_registry_),
       last_select_seconds_(

@@ -68,12 +68,6 @@ struct QuerySelectorOptions {
   double cluster_multiplier = 2.0;
   size_t max_class_samples = 48;
   double ppr_alpha = 0.15;
-  // Seeds per blocked power-iteration batch in the PPR prefetch (see
-  // prop::PprOptions::batch_size). Results are bitwise identical at every
-  // setting; larger batches trade workspace memory for fewer CSR
-  // traversals. Orthogonal to GALE_NUM_THREADS (the batch SpMM is
-  // row-parallel internally).
-  size_t ppr_batch_size = 64;
   // Disable the topological-typicality factor (clusT-only typicality) —
   // a bench_ablation knob.
   bool use_topological_typicality = true;

@@ -473,14 +473,6 @@ void SparseMatrix::GroupedTransposedMultiplyInto(const Matrix& b,
   });
 }
 
-void SparseMatrix::MultiplyVectorInto(const std::vector<double>& v,
-                                      std::vector<double>* out) const {
-  GALE_CHECK_EQ(cols_, v.size());
-  GALE_CHECK(out != &v) << "MultiplyVectorInto aliased output";
-  out->resize(rows_);
-  if (rows_ > 0) MultiplyStridedInto(v.data(), 1, 1, out->data());
-}
-
 Matrix SparseMatrix::ToDense() const {
   Matrix out(rows_, cols_);
   for (size_t r = 0; r < rows_; ++r) {

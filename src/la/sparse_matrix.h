@@ -17,9 +17,9 @@
 //    independent gather, so results stay bitwise identical at every
 //    GALE_NUM_THREADS setting.
 //
-// MultiplyInto, MultiplyStridedInto and MultiplyVectorInto run one CSR
-// gather (simd::CsrGatherStrided, dispatched once per shard): row-parallel
-// over disjoint output rows (util::ParallelFor), every element summed from
+// MultiplyInto and MultiplyStridedInto run one CSR gather
+// (simd::CsrGatherStrided, dispatched once per shard): row-parallel over
+// disjoint output rows (util::ParallelFor), every element summed from
 // +0.0 in ascending nonzero order, so the results are bitwise identical at
 // every GALE_NUM_THREADS setting and ISA. The GCN layers, label
 // propagation, GAugment's neighbour mean and PPR all use it.
@@ -137,10 +137,10 @@ class SparseMatrix {
   //   out[r][j] = sum_k value[k] * in[col[k]][j]   for j < width
   // overwriting (zero-filling) the live columns of every output row and
   // leaving columns [width, stride) untouched. Column j's accumulation
-  // order over k is exactly MultiplyVectorInto's, so each live column is
-  // bitwise identical to a separate SpMV of that column. Width 1 runs over
-  // the sliced view on AVX2 (see the file comment). `out` must not alias
-  // `in`; both row strides must be >= width.
+  // order over k does not depend on width, so each live column is bitwise
+  // identical to an SpMV (width = stride = 1) of that column. Width 1 runs
+  // over the sliced view on AVX2 (see the file comment). `out` must not
+  // alias `in`; both row strides must be >= width.
   void MultiplyStridedInto(const double* in, size_t width, size_t stride,
                            double* out) const;
 
@@ -159,12 +159,6 @@ class SparseMatrix {
   // cached, in panels of B rows, sharded over disjoint output rows; each
   // output row adds its groups in ascending source-row order.
   void GroupedTransposedMultiplyInto(const Matrix& b, Matrix* out) const;
-
-  // Sparse-matrix by dense-vector product, MultiplyStridedInto at width =
-  // stride = 1; reuses `out`'s capacity (steady state: no allocation).
-  // `out` must not alias `v`.
-  void MultiplyVectorInto(const std::vector<double>& v,
-                          std::vector<double>* out) const;
 
   // Densifies; only for tests/small matrices.
   Matrix ToDense() const;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-// gale-lint: allow(simd-include): fused loops use lane primitives here
-#include "la/simd.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -14,6 +12,12 @@ namespace gale::prop {
 
 namespace {
 
+// Seeds per blocked power-iteration batch. A batch shares one CSR
+// traversal per sweep among its seeds (the gather vectorizes across them)
+// at 2 x n x kBatchSeeds doubles of workspace. Every column runs its own
+// seed's scalar sequence, so the rows do not depend on this width.
+constexpr size_t kBatchSeeds = 64;
+
 // Rows per compaction shard: column compaction is a cheap permutation, so
 // shards need a few hundred rows to amortize dispatch.
 constexpr size_t kCompactRowGrain = 256;
@@ -22,18 +26,16 @@ constexpr size_t kCompactRowGrain = 256;
 // damp the fresh product by (1 - alpha), add the teleport mass at each
 // column's seed row, and accumulate each column's L1 diff against the
 // previous state. Deliberately serial over rows: each column's diff is
-// one running accumulator summed in ascending row order — exactly the
-// serial ComputeRowInto reduction — and that summation order defines
-// convergence, so it must not be sharded. Per element the value sequence
-// (damp multiply, teleport add at the seed row, |next - prev|) is
-// identical to the serial path's, which keeps every extracted row bitwise
-// equal to Row(v). The damp is one independent multiply per element, the
-// same value in every SIMD tier, so the pass is plain scalar code with no
-// per-row dispatch. Width 1 keeps its diff in a register: the general
-// loop's diffs[j] goes through memory on every row, which measured ~1 ms
-// slower per single-seed solve (DESIGN.md §12). noinline for
-// the usual shard-kernel reason (and to keep the hot loop's bounds in
-// registers).
+// one running accumulator summed in ascending row order, and that
+// summation order defines convergence, so it must not be sharded. Per
+// element the value sequence is the formula's: damp multiply, teleport
+// add at the seed row, |next - prev|. The damp is one independent
+// multiply per element, the same value in every SIMD tier, so the pass is
+// plain scalar code with no per-row dispatch. Width 1 keeps its diff in a
+// register: the general loop's diffs[j] goes through memory on every row,
+// which measured ~1 ms slower per single-seed solve (DESIGN.md §12).
+// noinline for the usual shard-kernel reason (and to keep the hot loop's
+// bounds in registers).
 __attribute__((noinline)) void DampTeleportDiffRows(
     double* next, const double* prev, size_t stride, size_t width,
     const size_t* col_seed, double damp, double alpha, double* diffs,
@@ -89,16 +91,6 @@ PprEngine::PprEngine(const la::SparseMatrix* walk_matrix, PprOptions options)
   seen_stamp_.assign(walk_matrix->rows(), 0);
 }
 
-void PprEngine::ClearCache() {
-  std::fill(cache_slot_.begin(), cache_slot_.end(), kNoSlot);
-  cached_rows_.clear();
-  free_slots_.clear();
-  // The memoization telemetry (Fig. 7f) counts computations against the
-  // current cache generation; a reset restarts both together so the
-  // counters never report more cached rows than computations.
-  computed_rows_ = 0;
-}
-
 void PprEngine::EvictRows(std::span<const size_t> seeds) {
   for (size_t v : seeds) {
     GALE_CHECK_LT(v, walk_matrix_->rows());
@@ -125,57 +117,17 @@ void PprEngine::InsertRow(size_t v, std::vector<double> row) {
   cached_rows_.push_back(std::move(row));
 }
 
-std::vector<double> PprEngine::ComputeRow(size_t v) const {
-  std::vector<double> p;
-  std::vector<double> next;
-  ComputeRowInto(v, &p, &next);
-  return p;
-}
-
-void PprEngine::ComputeRowInto(size_t v, std::vector<double>* p,
-                               std::vector<double>* next) const {
-  const size_t n = walk_matrix_->rows();
-  GALE_CHECK_LT(v, n);
-  p->assign(n, 0.0);
-  (*p)[v] = 1.0;
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    // The ping-pong swap replaces the old per-iteration move of a freshly
-    // allocated product vector; the value sequence is identical.
-    walk_matrix_->MultiplyVectorInto(*p, next);
-    // Three passes with the same per-element value sequence as the
-    // original fused loop: damp every entry by (1-α) (SIMD — each element
-    // is one independent multiply), add the teleport mass at the source
-    // (the same single scalar add), then the sequential L1-diff reduction
-    // in ascending order (scalar — one running accumulator whose
-    // summation order defines convergence).
-    la::simd::ScaleAssign(next->data(), 1.0 - options_.alpha, n);
-    (*next)[v] += options_.alpha;
-    double diff = 0.0;
-    for (size_t i = 0; i < n; ++i) diff += std::abs((*next)[i] - (*p)[i]);
-    std::swap(*p, *next);
-    if (diff < options_.tolerance) break;
-  }
-  // Propagation invariants: a PPR row is a non-negative influence vector
-  // (products/sums of non-negative walk weights) and the source keeps at
-  // least its teleport mass α.
-  GALE_DCHECK(util::check_internal::AllFinite(*p)) << "non-finite PPR row";
-  GALE_DCHECK(util::check_internal::AllNonNegative(*p))
-      << "negative PPR mass, source " << v;
-  GALE_DCHECK_GE((*p)[v], options_.alpha - 1e-12);
-}
-
 void PprEngine::ComputeBatch(const size_t* seeds, size_t count) {
   const size_t n = walk_matrix_->rows();
-  const size_t batch = std::max<size_t>(size_t{1}, options_.batch_size);
-  GALE_DCHECK(count >= 1 && count <= batch);
+  GALE_DCHECK(count >= 1 && count <= kBatchSeeds);
 
-  // Two fixed-shape n x batch_size ping-pong buffers, so the workspace
+  // Two fixed-shape n x kBatchSeeds ping-pong buffers, so the workspace
   // only ever sees one shape and steady-state batches are allocation-free
   // on the la-buffer path. The state inside them is laid out at stride
   // `count`: a narrow batch sweeps a dense n x count block, not `count`
-  // columns strewn across batch_size-wide rows.
-  la::Workspace::Scoped p_buf = batch_ws_.Checkout(n, batch);
-  la::Workspace::Scoped next_buf = batch_ws_.Checkout(n, batch);
+  // columns strewn across kBatchSeeds-wide rows.
+  la::Workspace::Scoped p_buf = batch_ws_.Checkout(n, kBatchSeeds);
+  la::Workspace::Scoped next_buf = batch_ws_.Checkout(n, kBatchSeeds);
   const size_t stride = count;
   double* p = p_buf.mat().RowPtr(0);
   double* next = next_buf.mat().RowPtr(0);
@@ -186,7 +138,7 @@ void PprEngine::ComputeBatch(const size_t* seeds, size_t count) {
   col_seed_.assign(seeds, seeds + count);
   col_block_.resize(count);
   for (size_t j = 0; j < count; ++j) col_block_[j] = j;
-  batch_rows_.clear();
+  // No clear(): a kept row keeps its capacity for the next extraction.
   batch_rows_.resize(count);
 
   // P = E restricted to the live columns: each column starts as e_seed.
@@ -203,8 +155,8 @@ void PprEngine::ComputeBatch(const size_t* seeds, size_t count) {
                          col_diff_.data(), n);
     std::swap(p, next);
 
-    // Convergence masking with the serial loop's break-after-swap
-    // semantics: a column retires when its diff drops below tolerance, or
+    // Convergence masking, break-after-swap: a column retires holding the
+    // state of the sweep whose diff dropped below tolerance, or
     // unconditionally after the final sweep.
     const bool last_sweep = iter == options_.max_iterations - 1;
     survivors_.clear();
@@ -240,17 +192,13 @@ void PprEngine::ComputeBatch(const size_t* seeds, size_t count) {
     }
   }
   // max_iterations <= 0: the loop never ran and every column still holds
-  // its initial e_seed state — extract as-is, matching the serial path.
+  // its initial e_seed state — extract it as-is.
   for (size_t j = 0; j < active; ++j) {
     std::vector<double>& row = batch_rows_[col_block_[j]];
     row.resize(n);
     for (size_t i = 0; i < n; ++i) row[i] = p[i * stride + j];
   }
-
-  for (size_t j = 0; j < count; ++j) {
-    ++computed_rows_;
-    InsertRow(seeds[j], std::move(batch_rows_[j]));
-  }
+  computed_rows_ += count;
 }
 
 void PprEngine::ComputeRows(std::span<const size_t> seeds) {
@@ -270,10 +218,12 @@ void PprEngine::ComputeRows(std::span<const size_t> seeds) {
   obs::Span span("gale.prop.ppr.batch");
   span.Arg("rows", static_cast<double>(missing_.size()));
 
-  const size_t batch = std::max<size_t>(size_t{1}, options_.batch_size);
-  for (size_t off = 0; off < missing_.size(); off += batch) {
-    ComputeBatch(missing_.data() + off,
-                 std::min(batch, missing_.size() - off));
+  for (size_t off = 0; off < missing_.size(); off += kBatchSeeds) {
+    const size_t count = std::min(kBatchSeeds, missing_.size() - off);
+    ComputeBatch(missing_.data() + off, count);
+    for (size_t j = 0; j < count; ++j) {
+      InsertRow(missing_[off + j], std::move(batch_rows_[j]));
+    }
   }
 }
 
@@ -288,16 +238,15 @@ const std::vector<double>& PprEngine::Row(size_t v) {
     GALE_DCHECK(!util::InParallelRegion())
         << "PPR cache miss for node " << v
         << " inside a parallel region; prefetch with ComputeRows";
-    ++computed_rows_;
-    InsertRow(v, ComputeRow(v));
+    ComputeBatch(&v, 1);
+    InsertRow(v, std::move(batch_rows_[0]));
     return cached_rows_[cache_slot_[v]];
   }
   GALE_DCHECK(!util::InParallelRegion())
       << "uncached PPR compute for node " << v
-      << " inside a parallel region (single scratch row, not thread-safe)";
-  ++computed_rows_;
-  ComputeRowInto(v, &scratch_, &scratch_next_);
-  return scratch_;
+      << " inside a parallel region (single reused row, not thread-safe)";
+  ComputeBatch(&v, 1);
+  return batch_rows_[0];
 }
 
 }  // namespace gale::prop

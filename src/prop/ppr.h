@@ -3,22 +3,22 @@
 // with S the symmetric renormalized adjacency (Section V-A of the paper:
 // "P_v is the Personalized PageRank probability vector for node v").
 //
-// Rows are computed on demand by power iteration
+// Rows are computed by power iteration
 //   p <- alpha * e_v + (1 - alpha) * S p
 // and cached: the paper's Section VII observes that "P remains static once
 // computed" and memoizes it. The cache can be disabled to reproduce the
 // U_GALE ablation.
 //
-// Batch prefetches run the power iteration blocked: a batch of up to
-// `batch_size` seeds is packed into an n x count state matrix P, stored at
-// stride count inside fixed n x batch_size workspace buffers, and iterated
+// There is one power-iteration loop, and it is blocked: a batch of up to
+// 64 seeds is packed into an n x count state matrix P, stored at stride
+// count inside fixed n x 64 workspace buffers, and iterated
 //   P <- alpha * E + (1 - alpha) * S * P
 // as one strided SpMM per sweep — a single CSR traversal per iteration for
 // the whole batch instead of one per seed — with per-seed convergence
 // masking (converged columns retire and the surviving columns compact
-// left, dropping out of both the SpMM and the damp pass). Every extracted
-// row is bitwise identical to what the serial Row(v) path computes, at any
-// thread count, ISA and batch size.
+// left, dropping out of both the SpMM and the damp pass). Every column
+// runs its own seed's value sequence, so a row's bits do not depend on
+// which seeds share its batch, nor on the thread count or ISA.
 //
 // A row computed alone (a Row(v) miss, or a batch down to one live
 // column, which is every incremental store publish) is a width-1 product
@@ -42,18 +42,13 @@
 namespace gale::prop {
 
 struct PprOptions {
-  // Restart probability alpha.
-  double alpha = 0.15;
+  // Stopping rule: at most max_iterations sweeps; a row stops early once
+  // its L1 change over one sweep drops below tolerance.
   int max_iterations = 60;
   double tolerance = 1e-8;
+  // Restart probability alpha.
+  double alpha = 0.15;
   bool cache_rows = true;
-  // Seeds per blocked power-iteration batch in ComputeRows. Larger
-  // batches amortize the CSR traversal over more seeds (the gather
-  // vectorizes across the batch) at 2 x n x batch_size doubles of
-  // workspace; results are bitwise identical at every setting. The SpMM
-  // inside a batch is row-parallel, so the batch size is orthogonal to
-  // GALE_NUM_THREADS.
-  size_t batch_size = 64;
 };
 
 class PprEngine {
@@ -63,20 +58,20 @@ class PprEngine {
   PprEngine(const la::SparseMatrix* walk_matrix, PprOptions options = {});
 
   // Row v of P (length n, sums to ~1). Cached when caching is enabled.
-  // Cached references stay valid until ClearCache() or an EvictRows()
-  // naming the seed. A cache miss (or any
-  // call with caching disabled) computes on the calling thread and must
+  // Cached references stay valid until an EvictRows() naming the seed.
+  // With caching disabled the reference is to one reused buffer and stays
+  // valid until the next Row() call. A cache miss (or any call with
+  // caching disabled) is a one-seed batch on the calling thread and must
   // not happen inside a parallel region — prefetch via ComputeRows first.
   const std::vector<double>& Row(size_t v);
 
   // Batch prefetch: computes the not-yet-cached rows of `seeds` with the
   // blocked power iteration (see file header) and inserts them into the
-  // cache in seed order. Each row is bitwise identical to what Row(v)
-  // would compute serially. After the call, Row(v) is a pure cache hit for
+  // cache in seed order. After the call, Row(v) is a pure cache hit for
   // every seed, so callers may read those rows concurrently.
   //
   // No-op when caching is disabled (the U_GALE ablation recomputes rows on
-  // demand by design, and the single scratch row cannot hold a batch).
+  // demand by design, and the single reused row cannot hold a batch).
   void ComputeRows(std::span<const size_t> seeds);
 
   bool cache_enabled() const { return options_.cache_rows; }
@@ -95,10 +90,6 @@ class PprEngine {
   // evicted seed are invalidated; num_computed_rows() is NOT reset — an
   // eviction is cache churn within one generation, not a cold restart.
   void EvictRows(std::span<const size_t> seeds);
-  // Drops every cached row AND resets num_computed_rows() to zero: after
-  // a reset the memoization counters (Fig. 7f) restart from a cold cache,
-  // so computed == cached until the next miss-free steady state.
-  void ClearCache();
 
   double alpha() const { return options_.alpha; }
   size_t num_nodes() const { return walk_matrix_->rows(); }
@@ -107,15 +98,9 @@ class PprEngine {
   // Flat-cache slot sentinel: node has no cached row.
   static constexpr uint32_t kNoSlot = 0xffffffffu;
 
-  std::vector<double> ComputeRow(size_t v) const;
-  // Power iteration writing the row into `*p`, using `*next` as the
-  // ping-pong buffer. Both are resized to n; reusing them across calls
-  // makes repeated computation allocation-free after the first row.
-  void ComputeRowInto(size_t v, std::vector<double>* p,
-                      std::vector<double>* next) const;
-  // Blocked power iteration over `count` seeds (count <= batch_size);
-  // extracts every seed's row and inserts it into the cache in seed
-  // order.
+  // Blocked power iteration over `count` seeds (1 <= count <= 64); leaves
+  // seeds[j]'s row in batch_rows_[j]. Those vectors keep their capacity
+  // across calls until a caller moves them out.
   void ComputeBatch(const size_t* seeds, size_t count);
   void InsertRow(size_t v, std::vector<double> row);
 
@@ -132,17 +117,17 @@ class PprEngine {
   std::vector<uint64_t> seen_stamp_;
   uint64_t seen_epoch_ = 0;
   std::vector<size_t> missing_;  // reused across ComputeRows calls
-  la::Workspace batch_ws_;       // n x batch_size ping-pong buffers
+  la::Workspace batch_ws_;       // n x 64 ping-pong buffers
   // Per-batch bookkeeping, reused across batches (steady state:
   // allocation-free).
   std::vector<size_t> col_seed_;   // seed node of each active column
   std::vector<size_t> col_block_;  // original block position of each column
   std::vector<double> col_diff_;   // this sweep's L1 diff per column
   std::vector<uint32_t> survivors_;
+  // The extracted rows of the last batch. With caching off, Row() returns
+  // batch_rows_[0] itself, so recomputation reuses its capacity.
   std::vector<std::vector<double>> batch_rows_;
-  std::vector<double> scratch_;       // reused when caching is off
-  std::vector<double> scratch_next_;  // ping-pong partner of scratch_
-  size_t computed_rows_ = 0;          // total power iterations run (telemetry)
+  size_t computed_rows_ = 0;  // total power iterations run (telemetry)
 };
 
 }  // namespace gale::prop

@@ -190,8 +190,10 @@ class PayloadReader {
   size_t pos_ = 0;
 };
 
-util::Status Corrupt(const std::string& what) {
-  return util::Status::DataLoss("ReadDeltaLog: " + what);
+util::Status CorruptRecord(const std::string& who, size_t record,
+                           const std::string& what) {
+  return util::Status::DataLoss(who + ": record " + std::to_string(record) +
+                                ": " + what);
 }
 
 util::Status CheckHeader(const std::string& blob, const std::string& who) {
@@ -207,6 +209,45 @@ util::Status CheckHeader(const std::string& blob, const std::string& who) {
     return util::Status::FailedPrecondition(
         who + ": format version " + std::to_string(header.version) +
         " != supported version " + std::to_string(kDeltaLogFormatVersion));
+  }
+  return util::Status::Ok();
+}
+
+// Reads the whole log at `path` into `*blob` and checks its file header.
+util::Status ReadLogBytes(const std::string& path, const std::string& who,
+                          std::string* blob) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return util::Status::NotFound(who + ": no such file: " + path);
+  blob->assign(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+  return CheckHeader(*blob, who);
+}
+
+// Walks the framed records after the file header, checking each record's
+// size and checksum before handing its payload to
+// `visit(record_index, payload)`. Stops at the first bad frame or the
+// first non-OK status `visit` returns. The reader decodes through it and
+// OpenForAppend validates through it, so both judge a frame the same way.
+template <typename Visit>
+util::Status ForEachRecord(const std::string& blob, const std::string& who,
+                           Visit visit) {
+  size_t pos = sizeof(FileHeader);
+  for (size_t index = 0; pos < blob.size(); ++index) {
+    if (blob.size() - pos < sizeof(RecordHeader)) {
+      return CorruptRecord(who, index, "truncated record header");
+    }
+    RecordHeader record;
+    std::memcpy(&record, blob.data() + pos, sizeof record);
+    pos += sizeof record;
+    if (record.payload_size > blob.size() - pos) {
+      return CorruptRecord(who, index, "truncated payload");
+    }
+    const std::string_view payload(blob.data() + pos, record.payload_size);
+    pos += record.payload_size;
+    if (util::Fnv1aHash(payload) != record.checksum) {
+      return CorruptRecord(who, index, "payload checksum mismatch");
+    }
+    GALE_RETURN_IF_ERROR(visit(index, payload));
   }
   return util::Status::Ok();
 }
@@ -298,20 +339,14 @@ util::Result<DeltaLogWriter> DeltaLogWriter::Create(const std::string& path) {
 
 util::Result<DeltaLogWriter> DeltaLogWriter::OpenForAppend(
     const std::string& path) {
+  const std::string who = "DeltaLogWriter::OpenForAppend";
   std::string blob;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return util::Status::NotFound(
-          "DeltaLogWriter::OpenForAppend: no such file: " + path);
-    }
-    char buf[sizeof(FileHeader)];
-    in.read(buf, sizeof buf);
-    blob.assign(buf, static_cast<size_t>(in.gcount()));
-  }
-  const util::Status header_ok =
-      CheckHeader(blob, "DeltaLogWriter::OpenForAppend");
-  if (!header_ok.ok()) return header_ok;
+  GALE_RETURN_IF_ERROR(ReadLogBytes(path, who, &blob));
+  // Appending after a torn or corrupt record would acknowledge batches
+  // that ReadDeltaLog can never return, so every frame is checked first.
+  GALE_RETURN_IF_ERROR(ForEachRecord(
+      blob, who,
+      [](size_t, std::string_view) { return util::Status::Ok(); }));
 
   DeltaLogWriter writer;
   writer.out_.open(path, std::ios::binary | std::ios::app);
@@ -343,57 +378,35 @@ util::Status DeltaLogWriter::Append(const DeltaBatch& batch) {
 }
 
 util::Result<std::vector<DeltaBatch>> ReadDeltaLog(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return util::Status::NotFound("ReadDeltaLog: no such file: " + path);
-  }
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const util::Status header_ok = CheckHeader(blob, "ReadDeltaLog");
-  if (!header_ok.ok()) return header_ok;
+  const std::string who = "ReadDeltaLog";
+  std::string blob;
+  GALE_RETURN_IF_ERROR(ReadLogBytes(path, who, &blob));
 
   std::vector<DeltaBatch> batches;
-  size_t pos = sizeof(FileHeader);
-  while (pos < blob.size()) {
-    if (blob.size() - pos < sizeof(RecordHeader)) {
-      return Corrupt("record " + std::to_string(batches.size()) +
-                     ": truncated record header");
-    }
-    RecordHeader record;
-    std::memcpy(&record, blob.data() + pos, sizeof record);
-    pos += sizeof record;
-    if (record.payload_size > blob.size() - pos) {
-      return Corrupt("record " + std::to_string(batches.size()) +
-                     ": truncated payload");
-    }
-    const std::string_view payload(blob.data() + pos, record.payload_size);
-    pos += record.payload_size;
-    if (util::Fnv1aHash(payload) != record.checksum) {
-      return Corrupt("record " + std::to_string(batches.size()) +
-                     ": payload checksum mismatch");
-    }
-
-    PayloadReader reader(payload);
-    uint64_t num_deltas = 0;
-    // Each delta is at least its 4-byte kind tag.
-    if (!reader.ReadPod(&num_deltas) ||
-        num_deltas > reader.remaining() / sizeof(uint32_t)) {
-      return Corrupt("record " + std::to_string(batches.size()) +
-                     ": delta count");
-    }
-    DeltaBatch batch(num_deltas);
-    for (uint64_t i = 0; i < num_deltas; ++i) {
-      if (!reader.ReadDelta(&batch[i])) {
-        return Corrupt("record " + std::to_string(batches.size()) +
-                       ": delta " + std::to_string(i) + " malformed");
-      }
-    }
-    if (!reader.exhausted()) {
-      return Corrupt("record " + std::to_string(batches.size()) +
-                     ": trailing bytes after payload");
-    }
-    batches.push_back(std::move(batch));
-  }
+  const util::Status status = ForEachRecord(
+      blob, who,
+      [&](size_t index, std::string_view payload) -> util::Status {
+        PayloadReader reader(payload);
+        uint64_t num_deltas = 0;
+        // Each delta is at least its 4-byte kind tag.
+        if (!reader.ReadPod(&num_deltas) ||
+            num_deltas > reader.remaining() / sizeof(uint32_t)) {
+          return CorruptRecord(who, index, "delta count");
+        }
+        DeltaBatch batch(num_deltas);
+        for (uint64_t i = 0; i < num_deltas; ++i) {
+          if (!reader.ReadDelta(&batch[i])) {
+            return CorruptRecord(who, index,
+                                 "delta " + std::to_string(i) + " malformed");
+          }
+        }
+        if (!reader.exhausted()) {
+          return CorruptRecord(who, index, "trailing bytes after payload");
+        }
+        batches.push_back(std::move(batch));
+        return util::Status::Ok();
+      });
+  if (!status.ok()) return status;
   return batches;
 }
 

@@ -92,10 +92,12 @@ class DeltaLogWriter {
   // kNotFound when the path cannot be opened.
   static util::Result<DeltaLogWriter> Create(const std::string& path);
 
-  // Reopens an existing log for appending. The header is validated
-  // (kNotFound missing file, kDataLoss short/corrupt header or bad magic,
-  // kFailedPrecondition version skew); existing records are NOT re-read —
-  // ReadDeltaLog is the full-validation path.
+  // Reopens an existing log for appending. The header and every existing
+  // record's frame (size and checksum) are validated first: kNotFound
+  // missing file, kDataLoss short/corrupt header, bad magic or the first
+  // torn or corrupt record (named by index), kFailedPrecondition version
+  // skew. Deltas inside a record are not decoded; ReadDeltaLog is the
+  // full-validation path.
   static util::Result<DeltaLogWriter> OpenForAppend(const std::string& path);
 
   DeltaLogWriter(DeltaLogWriter&&) = default;

@@ -55,10 +55,6 @@ util::Status StoreOptions::Validate() const {
     return util::Status::InvalidArgument(
         "StoreOptions: ppr.alpha must be in (0, 1)");
   }
-  if (ppr.batch_size == 0) {
-    return util::Status::InvalidArgument(
-        "StoreOptions: ppr.batch_size must be >= 1");
-  }
   if (!ppr.cache_rows) {
     return util::Status::InvalidArgument(
         "StoreOptions: ppr.cache_rows must stay enabled — the warm row "

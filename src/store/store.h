@@ -82,7 +82,7 @@ struct StoreOptions {
   graph::FeatureEncoderOptions encoder;
 
   // kInvalidArgument on max_batch_deltas == 0, alpha outside (0, 1),
-  // batch_size == 0, hash_dims == 0, or cache_rows == false.
+  // hash_dims == 0, or cache_rows == false.
   util::Status Validate() const;
 };
 

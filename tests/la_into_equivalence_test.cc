@@ -148,12 +148,14 @@ TEST(IntoEquivalenceTest, SparseMultiplyVector) {
   std::vector<double> v(30);
   for (double& x : v) x = rng.Normal(0.0, 1.0);
 
-  std::vector<double> expected;
-  s.MultiplyVectorInto(v, &expected);
-  std::vector<double> out(7, kPoison);  // wrong size + poisoned
-  s.MultiplyVectorInto(v, &out);
-  ASSERT_EQ(expected.size(), out.size());
-  for (size_t i = 0; i < out.size(); ++i) ASSERT_EQ(expected[i], out[i]);
+  // The allocating one-column product against the width-1 strided form
+  // writing into a poisoned buffer.
+  la::Matrix column(30, 1);
+  for (size_t i = 0; i < v.size(); ++i) column.At(i, 0) = v[i];
+  const la::Matrix expected = s.Multiply(column);
+  std::vector<double> out(30, kPoison);
+  s.MultiplyStridedInto(v.data(), 1, 1, out.data());
+  for (size_t i = 0; i < out.size(); ++i) ASSERT_EQ(expected.At(i, 0), out[i]);
 }
 
 // Accumulation onto a zeroed output is bitwise identical to assignment:

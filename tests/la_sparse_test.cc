@@ -45,9 +45,9 @@ TEST(SparseMatrixTest, MultiplyMatchesDense) {
 TEST(SparseMatrixTest, MultiplyVector) {
   SparseMatrix s =
       SparseMatrix::FromTriplets(2, 3, {{0, 1, 2.0}, {1, 2, -1.0}});
-  std::vector<double> out;
-  s.MultiplyVectorInto({1.0, 10.0, 100.0}, &out);
-  ASSERT_EQ(out.size(), 2u);
+  const std::vector<double> x = {1.0, 10.0, 100.0};
+  std::vector<double> out(2);
+  s.MultiplyStridedInto(x.data(), 1, 1, out.data());
   EXPECT_DOUBLE_EQ(out[0], 20.0);
   EXPECT_DOUBLE_EQ(out[1], -100.0);
 }
@@ -157,8 +157,9 @@ TEST(SparseMatrixTest, EmptyRowsStayZeroInEveryProduct) {
   }
   EXPECT_TRUE(out.AllClose(s.ToDense().MatMul(x), 1e-12));
 
-  std::vector<double> vec_out;
-  s.MultiplyVectorInto({1.0, 2.0, 3.0, 4.0}, &vec_out);
+  const std::vector<double> vec = {1.0, 2.0, 3.0, 4.0};
+  std::vector<double> vec_out(5);
+  s.MultiplyStridedInto(vec.data(), 1, 1, vec_out.data());
   EXPECT_DOUBLE_EQ(vec_out[0], 0.0);
   EXPECT_DOUBLE_EQ(vec_out[2], 0.0);
   EXPECT_DOUBLE_EQ(vec_out[4], 0.0);
@@ -214,8 +215,8 @@ TEST(SparseMatrixTest, StridedMultiplyMatchesPerColumnSpmvBitwise) {
     for (size_t j = 0; j < width; ++j) {
       std::vector<double> col(15);
       for (size_t r = 0; r < 15; ++r) col[r] = in[r * stride + j];
-      std::vector<double> want;
-      s.MultiplyVectorInto(col, &want);
+      std::vector<double> want(15);
+      s.MultiplyStridedInto(col.data(), 1, 1, want.data());
       for (size_t r = 0; r < 15; ++r) {
         EXPECT_EQ(out[r * stride + j], want[r])
             << "col " << j << " row " << r << " threads " << threads;
@@ -461,9 +462,9 @@ SparseMatrix HubAndShortRows(size_t rows, size_t cols, util::Rng& rng) {
   return SparseMatrix::FromTriplets(rows, cols, std::move(triplets));
 }
 
-// Checks MultiplyStridedInto at width 1 (stride 1 and 7) and
-// MultiplyVectorInto against CsrLoop on every ISA at 1 and 4 threads,
-// bytewise, with the columns past the live one untouched. `in` holds
+// Checks MultiplyStridedInto at width 1 (stride 1, an SpMV, and 7)
+// against CsrLoop on every ISA at 1 and 4 threads, bytewise, with the
+// columns past the live one untouched. `in` holds
 // cols x 7 doubles.
 void ExpectWidthOneMatchesCsrLoop(const SparseMatrix& s,
                                   const std::vector<double>& in,
@@ -487,15 +488,6 @@ void ExpectWidthOneMatchesCsrLoop(const SparseMatrix& s,
           for (size_t j = 1; j < stride; ++j) {
             ASSERT_EQ(out[r * stride + j], kPoison) << where << " row " << r;
           }
-        }
-        if (stride == 1) {
-          std::vector<double> got;
-          s.MultiplyVectorInto(
-              std::vector<double>(in.begin(), in.begin() + s.cols()), &got);
-          ASSERT_EQ(got.size(), want.size());
-          EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
-                                   want.size() * sizeof(double)))
-              << "SpMV " << where;
         }
       }
     }

@@ -185,15 +185,19 @@ TEST(AllocFreeTest, PprRecomputeWithCacheDisabled) {
   prop::PprEngine ppr(&walk, prop::PprOptions{.cache_rows = false});
 
   // With the cache off, every Row call recomputes — the U_GALE ablation
-  // path. The ping-pong scratch makes recomputation allocation-free for
-  // the la/vector buffers after the first row... but std::vector is not
-  // an la buffer, so assert on repeated identical results instead of the
-  // counter plus check the counter is untouched by vector-only work.
-  const std::vector<double> first = ppr.Row(7);
+  // path — as a one-seed batch: the batch's n x 64 ping-pong buffers are
+  // warm workspace checkouts after the first row, and the returned row is
+  // a reused vector. std::vector is not an la buffer, so the counter sees
+  // only the workspace; repeated calls must also return identical rows
+  // from the same storage.
+  const std::vector<double>& warm = ppr.Row(7);
+  const std::vector<double> first = warm;
+  const double* storage = warm.data();
   const uint64_t before = la::BufferAllocations();
   for (int i = 0; i < 4; ++i) {
     const std::vector<double>& row = ppr.Row(7);
     ASSERT_EQ(row, first);
+    ASSERT_EQ(row.data(), storage) << "cache-off Row() reallocated its row";
   }
   EXPECT_EQ(la::BufferAllocations(), before);
 }
@@ -201,12 +205,12 @@ TEST(AllocFreeTest, PprRecomputeWithCacheDisabled) {
 TEST(AllocFreeTest, PprNarrowBatches) {
   // The store's publish pattern: a persistent engine evicts a few rows and
   // recomputes them as one narrow batch. Every width shares the fixed
-  // n x batch_size ping-pong buffers, so after the first call no width
-  // allocates an la buffer.
+  // n x 64 ping-pong buffers, so after the first call no width allocates
+  // an la buffer.
   const size_t n = 40;
   const la::SparseMatrix walk =
       la::SparseMatrix::NormalizedAdjacency(n, RingEdges(n));
-  prop::PprEngine ppr(&walk, prop::PprOptions{.batch_size = 64});
+  prop::PprEngine ppr(&walk);
   const std::vector<size_t> seeds = {3, 11, 19, 27, 35};
   ppr.ComputeRows(std::span<const size_t>(seeds.data(), 1));
   const uint64_t before = la::BufferAllocations();

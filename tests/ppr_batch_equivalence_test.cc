@@ -1,13 +1,14 @@
-// Batched-PPR equivalence: ComputeRows' blocked power iteration must
-// produce rows byte-identical to the serial Row(v) path for every seed,
-// at every batch size, thread count and ISA. Row(v) and a single-seed
-// batch share the width-1 product, so the reference is Row(v) under the
-// scalar tier (the CSR gather), never the tier under test. The _mt4 ctest
-// entry reruns the whole file at GALE_NUM_THREADS=4; the loops below
-// additionally pin 1 and 4 threads explicitly so a single run covers
-// both.
+// PPR equivalence: every row PprEngine produces — batched prefetches
+// through ComputeRows and one-seed Row(v) misses, cached or not — must be
+// byte-identical to an independent reference power iteration written in
+// this file from the formula, for every seed, seed count, thread count and
+// ISA. The _mt4 ctest entry reruns the whole file at GALE_NUM_THREADS=4;
+// the loops below additionally pin 1 and 4 threads explicitly so a single
+// run covers both.
 
+#include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,93 +38,139 @@ la::SparseMatrix RandomWalkMatrix(size_t n, size_t extra_edges,
   return la::SparseMatrix::NormalizedAdjacency(n, edges);
 }
 
-std::vector<size_t> TestSeeds(size_t n) {
-  // Distinct seeds spread over the graph plus duplicates (ComputeRows
-  // must dedup) and both endpoints.
+// The reference row: power iteration straight from the formula
+//   p <- alpha * e_v + (1 - alpha) * S p,
+// with a plain CSR loop (each element summed from +0.0 in ascending
+// nonzero order), the damp, the teleport add at the seed, the L1 diff
+// summed in ascending row order, and the break after the swap. Plain
+// scalar code that calls no la:: kernel, so it shares nothing with the
+// engine and runs the same on every ISA tier.
+std::vector<double> ReferenceRow(const la::SparseMatrix& s, size_t v,
+                                 const PprOptions& options) {
+  const size_t n = s.rows();
+  std::vector<double> p(n, 0.0);
+  std::vector<double> next(n, 0.0);
+  p[v] = 1.0;
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    for (size_t r = 0; r < n; ++r) {
+      double acc = 0.0;
+      for (size_t k = s.RowBegin(r); k < s.RowEnd(r); ++k) {
+        acc += s.Value(k) * p[s.ColIndex(k)];
+      }
+      next[r] = acc;
+    }
+    double diff = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      next[i] *= 1.0 - options.alpha;
+      if (i == v) next[i] += options.alpha;
+      diff += std::abs(next[i] - p[i]);
+    }
+    std::swap(p, next);
+    if (diff < options.tolerance) break;
+  }
+  return p;
+}
+
+std::vector<std::vector<double>> ReferenceRows(const la::SparseMatrix& s,
+                                               const PprOptions& options) {
+  std::vector<std::vector<double>> rows(s.rows());
+  for (size_t v = 0; v < s.rows(); ++v) rows[v] = ReferenceRow(s, v, options);
+  return rows;
+}
+
+// `count` distinct seeds spread over the graph (37 is coprime with every
+// n used here), then a duplicate that ComputeRows must drop.
+std::vector<size_t> SpreadSeeds(size_t count, size_t n) {
   std::vector<size_t> seeds;
-  for (size_t v = 0; v < n; v += 3) seeds.push_back(v);
-  seeds.push_back(0);
-  seeds.push_back(n - 1);
-  seeds.push_back(seeds[1]);  // duplicate mid-list
+  for (size_t j = 0; j < count; ++j) seeds.push_back((j * 37 + 1) % n);
+  seeds.push_back(seeds.front());
   return seeds;
 }
 
 void ExpectBytesEqual(const std::vector<double>& got,
-                      const std::vector<double>& want, size_t seed_node,
-                      size_t batch_size, int threads) {
+                      const std::vector<double>& want, size_t seed_node) {
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
                            want.size() * sizeof(double)))
-      << "batched PPR row differs from serial Row() for seed " << seed_node
-      << " at batch_size=" << batch_size << " threads=" << threads;
+      << "PPR row differs from the reference for seed " << seed_node;
 }
 
-void CheckBatchedMatchesSerial(const PprOptions& base_options) {
+// 1 and 7 seeds are single batches, 64 fills one batch and 65 leaves a
+// ragged one-seed batch; convergence masking takes each batch through
+// every narrower width as its columns retire.
+constexpr size_t kSeedCounts[] = {1, 7, 64, 65};
+
+void CheckRowsMatchReference(const PprOptions& base_options) {
   const size_t n = 97;
   la::SparseMatrix walk = RandomWalkMatrix(n, 180, /*seed=*/1234);
-  const std::vector<size_t> seeds = TestSeeds(n);
-
-  // Serial reference rows, computed one by one through the Row(v) miss
-  // path at a single thread on the scalar tier.
-  std::vector<std::vector<double>> reference(n);
-  {
-    la::simd::ScopedIsaOverride pin(la::simd::Isa::kScalar);
-    util::ScopedParallelism p(1);
-    PprEngine serial(&walk, base_options);
-    for (size_t v : seeds) reference[v] = serial.Row(v);
-  }
+  const std::vector<std::vector<double>> reference =
+      ReferenceRows(walk, base_options);
 
   for (la::simd::Isa isa : {la::simd::Isa::kScalar, la::simd::Isa::kAvx2}) {
     la::simd::ScopedIsaOverride pin(isa);
     for (int threads : {1, 4}) {
       util::ScopedParallelism p(threads);
-      for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}}) {
-        PprOptions options = base_options;
-        options.batch_size = batch_size;
-        PprEngine batched(&walk, options);
+      for (size_t count : kSeedCounts) {
+        SCOPED_TRACE(::testing::Message()
+                     << count << " seeds, threads " << threads << ", isa "
+                     << la::simd::IsaName(la::simd::ActiveIsa()));
+        const std::vector<size_t> seeds = SpreadSeeds(count, n);
+        PprEngine batched(&walk, base_options);
         batched.ComputeRows(seeds);
+        EXPECT_EQ(batched.num_computed_rows(), count);
         for (size_t v : seeds) {
           ASSERT_TRUE(batched.IsCached(v));
-          ExpectBytesEqual(batched.Row(v), reference[v], v, batch_size,
-                           threads);
+          ExpectBytesEqual(batched.Row(v), reference[v], v);
+        }
+      }
+      // Row(v) misses, cached and with the cache off (U_GALE).
+      for (bool cache_rows : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "Row() misses, cache_rows " << cache_rows
+                     << ", threads " << threads << ", isa "
+                     << la::simd::IsaName(la::simd::ActiveIsa()));
+        PprOptions options = base_options;
+        options.cache_rows = cache_rows;
+        PprEngine engine(&walk, options);
+        for (size_t v : SpreadSeeds(7, n)) {
+          ExpectBytesEqual(engine.Row(v), reference[v], v);
         }
       }
     }
   }
 }
 
-TEST(PprBatchEquivalenceTest, MatchesSerialRows) {
-  CheckBatchedMatchesSerial(PprOptions{});
+TEST(PprBatchEquivalenceTest, MatchesReferenceRows) {
+  CheckRowsMatchReference(PprOptions{});
 }
 
-TEST(PprBatchEquivalenceTest, MatchesSerialRowsLooseTolerance) {
+TEST(PprBatchEquivalenceTest, MatchesReferenceRowsLooseTolerance) {
   // A loose tolerance makes columns converge at different sweeps, so the
   // convergence-masking retirement/compaction path is exercised hard.
   PprOptions options;
   options.tolerance = 1e-4;
-  CheckBatchedMatchesSerial(options);
+  CheckRowsMatchReference(options);
 }
 
-TEST(PprBatchEquivalenceTest, MatchesSerialRowsIterationCapped) {
+TEST(PprBatchEquivalenceTest, MatchesReferenceRowsIterationCapped) {
   // A tiny iteration cap retires every unconverged column on the final
-  // sweep — the serial path's break-at-max semantics.
+  // sweep — the reference's break-at-max semantics.
   PprOptions options;
   options.max_iterations = 3;
-  CheckBatchedMatchesSerial(options);
+  CheckRowsMatchReference(options);
 }
 
-TEST(PprBatchEquivalenceTest, MatchesSerialRowsZeroIterations) {
-  // max_iterations <= 0: both paths must return the teleport-only e_v.
+TEST(PprBatchEquivalenceTest, MatchesReferenceRowsZeroIterations) {
+  // max_iterations <= 0: every row is the teleport-only e_v.
   PprOptions options;
   options.max_iterations = 0;
-  CheckBatchedMatchesSerial(options);
+  CheckRowsMatchReference(options);
 }
 
-TEST(PprBatchEquivalenceTest, NarrowBatchesMatchSerialRows) {
+TEST(PprBatchEquivalenceTest, NarrowBatchesMatchReferenceRows) {
   // The store's shapes: batches of 1-5 seeds, laid out at stride = width,
-  // and 65 seeds at batch_size 64, whose last batch is a single seed. The
-  // reference is Row(v) under the scalar tier at one thread; every ISA
-  // and thread count must reproduce it byte for byte.
+  // and 65 seeds, whose last batch is a single seed. Every ISA and thread
+  // count must reproduce the reference byte for byte.
   const size_t n = 131;
   la::SparseMatrix walk = RandomWalkMatrix(n, 260, /*seed=*/4321);
   std::vector<std::vector<size_t>> seed_lists;
@@ -136,26 +183,21 @@ TEST(PprBatchEquivalenceTest, NarrowBatchesMatchSerialRows) {
   for (size_t j = 0; j < 65; ++j) ragged.push_back((j * 2) % n);
   seed_lists.push_back(ragged);
 
-  std::vector<std::vector<double>> reference(n);
-  {
-    la::simd::ScopedIsaOverride pin(la::simd::Isa::kScalar);
-    util::ScopedParallelism p(1);
-    PprEngine serial(&walk);
-    for (size_t v = 0; v < n; ++v) reference[v] = serial.Row(v);
-  }
+  const std::vector<std::vector<double>> reference =
+      ReferenceRows(walk, PprOptions{});
   for (la::simd::Isa isa : {la::simd::Isa::kScalar, la::simd::Isa::kAvx2}) {
     la::simd::ScopedIsaOverride pin(isa);
     for (int threads : {1, 4}) {
       util::ScopedParallelism p(threads);
       for (const std::vector<size_t>& seeds : seed_lists) {
         SCOPED_TRACE(::testing::Message()
-                     << seeds.size() << " seeds, isa "
-                     << la::simd::IsaName(la::simd::ActiveIsa()));
-        PprEngine batched(&walk, PprOptions{.batch_size = 64});
+                     << seeds.size() << " seeds, threads " << threads
+                     << ", isa " << la::simd::IsaName(la::simd::ActiveIsa()));
+        PprEngine batched(&walk);
         batched.ComputeRows(seeds);
         EXPECT_EQ(batched.num_computed_rows(), seeds.size());
         for (size_t v : seeds) {
-          ExpectBytesEqual(batched.Row(v), reference[v], v, 64, threads);
+          ExpectBytesEqual(batched.Row(v), reference[v], v);
         }
       }
     }
@@ -165,9 +207,7 @@ TEST(PprBatchEquivalenceTest, NarrowBatchesMatchSerialRows) {
 TEST(PprBatchEquivalenceTest, PartiallyCachedBatchOnlyComputesMissing) {
   const size_t n = 60;
   la::SparseMatrix walk = RandomWalkMatrix(n, 90, /*seed=*/77);
-  PprOptions options;
-  options.batch_size = 7;
-  PprEngine ppr(&walk, options);
+  PprEngine ppr(&walk);
 
   ppr.Row(5);
   ppr.Row(20);
@@ -179,18 +219,15 @@ TEST(PprBatchEquivalenceTest, PartiallyCachedBatchOnlyComputesMissing) {
   // 30 even seeds; 5 is odd so only 20 was already cached.
   EXPECT_EQ(ppr.num_computed_rows(), 2u + (seeds.size() - 1));
 
-  la::simd::ScopedIsaOverride pin(la::simd::Isa::kScalar);
-  PprEngine serial(&walk, PprOptions{});
   for (size_t v : seeds) {
-    const std::vector<double> want = serial.Row(v);
-    ExpectBytesEqual(ppr.Row(v), want, v, options.batch_size, 0);
+    ExpectBytesEqual(ppr.Row(v), ReferenceRow(walk, v, PprOptions{}), v);
   }
 }
 
 TEST(PprBatchEquivalenceTest, RepeatedComputeRowsIsIdempotent) {
   const size_t n = 40;
   la::SparseMatrix walk = RandomWalkMatrix(n, 50, /*seed=*/5);
-  PprEngine ppr(&walk, PprOptions{.batch_size = 16});
+  PprEngine ppr(&walk);
   std::vector<size_t> seeds = {1, 3, 5, 7, 9};
   ppr.ComputeRows(seeds);
   const size_t computed = ppr.num_computed_rows();

@@ -86,39 +86,24 @@ TEST(PprTest, CachingCountsRows) {
   EXPECT_EQ(ppr.num_computed_rows(), 1u);
   ppr.Row(3);
   EXPECT_EQ(ppr.num_computed_rows(), 2u);
-  ppr.ClearCache();
-  EXPECT_EQ(ppr.num_cached_rows(), 0u);
-}
-
-TEST(PprTest, ClearCacheResetsComputedRowCounter) {
-  // Regression: ClearCache used to drop the rows but keep the computed
-  // counter, so the Fig. 7f memoization telemetry misreported after a
-  // reset (more computations than the live cache generation ever ran).
-  la::SparseMatrix walk = PathGraph(6);
-  PprEngine ppr(&walk);
-  ppr.Row(1);
-  ppr.Row(2);
-  EXPECT_EQ(ppr.num_computed_rows(), 2u);
-  ppr.ClearCache();
-  EXPECT_EQ(ppr.num_cached_rows(), 0u);
-  EXPECT_EQ(ppr.num_computed_rows(), 0u);
-  EXPECT_FALSE(ppr.IsCached(1));
-  // The counters restart together: recomputing after the reset counts
-  // from zero and the row is identical to the pre-reset one.
-  ppr.Row(1);
-  EXPECT_EQ(ppr.num_computed_rows(), 1u);
-  EXPECT_EQ(ppr.num_cached_rows(), 1u);
+  EXPECT_EQ(ppr.num_cached_rows(), 2u);
 }
 
 TEST(PprTest, BatchPrefetchCountsEachRowOnce) {
-  la::SparseMatrix walk = PathGraph(8);
-  PprEngine ppr(&walk, PprOptions{.batch_size = 3});
-  const std::vector<size_t> seeds = {0, 2, 4, 6, 2, 0};  // dups collapse
+  // 70 distinct even seeds span two batches (64 + 6); the duplicates
+  // collapse, including one whose first copy sits in the other batch.
+  la::SparseMatrix walk = PathGraph(150);
+  std::vector<size_t> seeds;
+  for (size_t v = 0; v < 140; v += 2) seeds.push_back(v);
+  seeds.push_back(2);
+  seeds.push_back(130);
+  PprEngine ppr(&walk);
   ppr.ComputeRows(seeds);
-  EXPECT_EQ(ppr.num_computed_rows(), 4u);
-  EXPECT_EQ(ppr.num_cached_rows(), 4u);
-  for (size_t v : {0u, 2u, 4u, 6u}) EXPECT_TRUE(ppr.IsCached(v));
+  EXPECT_EQ(ppr.num_computed_rows(), 70u);
+  EXPECT_EQ(ppr.num_cached_rows(), 70u);
+  for (size_t v = 0; v < 140; v += 2) EXPECT_TRUE(ppr.IsCached(v));
   EXPECT_FALSE(ppr.IsCached(1));
+  EXPECT_FALSE(ppr.IsCached(140));
 }
 
 TEST(PprTest, EvictRowsDropsOnlyTheNamedSeeds) {

@@ -454,11 +454,8 @@ TEST(SimdEquivalenceTest, SparseMultiply) {
   ExpectIsaInvariant([&] { return s.Multiply(x1); }, "SpMM width 1");
   ExpectIsaInvariant(
       [&] {
-        const std::vector<double> v(x1.data().begin(), x1.data().end());
-        std::vector<double> out;
-        s.MultiplyVectorInto(v, &out);
-        la::Matrix flat(1, out.size());
-        for (size_t i = 0; i < out.size(); ++i) flat.At(0, i) = out[i];
+        la::Matrix flat(1, s.rows());
+        s.MultiplyStridedInto(x1.RowPtr(0), 1, 1, flat.RowPtr(0));
         return flat;
       },
       "SpMV");

@@ -163,6 +163,35 @@ TEST(DeltaLogTest, ReadRejectsTruncatedFile) {
   }
 }
 
+TEST(DeltaLogTest, OpenForAppendRefusesTornTail) {
+  const std::string path = TempPath("log_torn_append.bin");
+  WriteLog(path, {MakeKitchenSinkBatch()});
+  std::string bytes = ReadFileBytes(path);
+  bytes.resize(bytes.size() - 3);
+  WriteFileBytes(path, bytes);
+
+  // Appending after the torn record would acknowledge a batch that
+  // ReadDeltaLog can never return; the reopen must refuse instead.
+  auto reopen = DeltaLogWriter::OpenForAppend(path);
+  ASSERT_FALSE(reopen.ok());
+  EXPECT_EQ(reopen.status().code(), util::StatusCode::kDataLoss);
+  EXPECT_NE(reopen.status().message().find("record 0"), std::string::npos)
+      << reopen.status();
+  EXPECT_EQ(ReadFileBytes(path), bytes) << "a refused reopen wrote bytes";
+
+  // A checksum mismatch in an intact-length record is refused the same way.
+  WriteLog(path, {{Delta::SetLabel(1, core::kLabelError)},
+                  MakeKitchenSinkBatch()});
+  bytes = ReadFileBytes(path);
+  bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0x04);
+  WriteFileBytes(path, bytes);
+  reopen = DeltaLogWriter::OpenForAppend(path);
+  ASSERT_FALSE(reopen.ok());
+  EXPECT_EQ(reopen.status().code(), util::StatusCode::kDataLoss);
+  EXPECT_NE(reopen.status().message().find("record 1"), std::string::npos)
+      << reopen.status();
+}
+
 TEST(DeltaLogTest, ReadRejectsBitFlips) {
   const std::string path = TempPath("log_flip.bin");
   WriteLog(path, {MakeKitchenSinkBatch()});

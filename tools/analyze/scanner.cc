@@ -10,6 +10,7 @@
 #include "analyze/include_graph.h"
 #include "analyze/rules.h"
 #include "util/parallel.h"
+#include "util/string_util.h"
 
 namespace gale::analyze {
 namespace {
@@ -17,15 +18,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr const char kCacheHeader[] = "gale-analyze-cache v1";
-
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 14695981039346656037ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::string Escape(const std::string& s) {
   std::string out;
@@ -223,7 +215,7 @@ void IdentityShard(std::vector<FileState>* files, const CacheMap& cache,
     }
     f.content = ReadFileOrEmpty(f.abs);
     f.content_read = true;
-    f.hash = Fnv1a(f.content);
+    f.hash = util::Fnv1aHash(f.content);
   }
 }
 
