@@ -1,44 +1,23 @@
 #include "serve/snapshot.h"
 
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <memory>
-#include <string_view>
 #include <utility>
 
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "prop/ppr.h"
 #include "util/check.h"
-#include "util/string_util.h"
+#include "util/framed_file.h"
 
 namespace gale::serve {
 namespace {
 
-// On-disk layout: an 8-byte magic, a fixed-size header, then a raw
-// little-endian payload guarded by an FNV-1a checksum. Numeric fields are
-// memcpy'd native values — snapshots are a same-architecture persistence
-// format (like the rest of the repo's binary artifacts), not a wire
-// format.
-constexpr char kMagic[8] = {'G', 'A', 'L', 'E', 'S', 'N', 'A', 'P'};
+// A snapshot is a one-record framed file (util/framed_file.h).
+constexpr util::FileFormat kFileFormat{"GALESNAP",
+                                       ScoringSnapshot::kFormatVersion};
 
-struct FileHeader {
-  char magic[8];
-  uint32_t version;
-  uint32_t flags;       // reserved, 0
-  uint64_t payload_size;
-  uint64_t checksum;    // FNV-1a over the payload bytes
-};
-
-void AppendBytes(std::string* out, const void* p, size_t bytes) {
-  out->append(static_cast<const char*>(p), bytes);
-}
-
-template <typename T>
-void AppendPod(std::string* out, T v) {
-  AppendBytes(out, &v, sizeof v);
-}
+using util::AppendBytes, util::AppendPod;
 
 void AppendMatrix(std::string* out, const la::Matrix& m) {
   AppendPod<uint64_t>(out, m.rows());
@@ -46,32 +25,10 @@ void AppendMatrix(std::string* out, const la::Matrix& m) {
   AppendBytes(out, m.RowPtr(0), m.rows() * m.cols() * sizeof(double));
 }
 
-// Bounds-checked cursor over the payload. Every Read* returns false on
-// overrun instead of touching out-of-range bytes, and the element-count
-// guards divide instead of multiplying so absurd counts from a corrupt
-// (but checksum-colliding) file cannot overflow into an allocation.
-class PayloadReader {
+// The payload cursor, plus the matrix block reader.
+class PayloadReader : public util::ByteReader {
  public:
-  explicit PayloadReader(std::string_view data) : data_(data) {}
-
-  size_t remaining() const { return data_.size() - pos_; }
-  bool exhausted() const { return pos_ == data_.size(); }
-
-  bool ReadBytes(void* p, size_t bytes) {
-    if (bytes > remaining()) return false;
-    std::memcpy(p, data_.data() + pos_, bytes);
-    pos_ += bytes;
-    return true;
-  }
-
-  template <typename T>
-  bool ReadPod(T* v) {
-    return ReadBytes(v, sizeof *v);
-  }
-
-  bool CanHold(uint64_t count, size_t elem_size) const {
-    return count <= remaining() / elem_size;
-  }
+  using ByteReader::ByteReader;
 
   bool ReadMatrix(la::Matrix* m) {
     uint64_t rows = 0;
@@ -85,10 +42,6 @@ class PayloadReader {
     *m = la::Matrix(rows, cols);
     return ReadBytes(m->RowPtr(0), rows * cols * sizeof(double));
   }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
 };
 
 std::string SerializePayload(const core::DiscriminatorSnapshot& disc,
@@ -246,64 +199,24 @@ std::vector<double> BakeErrorInfluence(prop::PprEngine& engine,
 }
 
 util::Status ScoringSnapshot::Save(const std::string& path) const {
-  const std::string payload =
-      SerializePayload(discriminator_, features_, walk_, example_labels_,
-                       error_influence_, ppr_alpha_);
-  FileHeader header;
-  std::memcpy(header.magic, kMagic, sizeof kMagic);
-  header.version = kFormatVersion;
-  header.flags = 0;
-  header.payload_size = payload.size();
-  header.checksum =
-      util::Fnv1aHash(std::string_view(payload.data(), payload.size()));
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return util::Status::NotFound("ScoringSnapshot::Save: cannot open " +
-                                  path);
-  }
-  out.write(reinterpret_cast<const char*>(&header), sizeof header);
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.flush();
-  if (!out) {
-    return util::Status::Internal("ScoringSnapshot::Save: write failed: " +
-                                  path);
-  }
-  return util::Status::Ok();
+  std::string file = util::FramedFileHeader(kFileFormat);
+  util::AppendRecord(&file,
+                     SerializePayload(discriminator_, features_, walk_,
+                                      example_labels_, error_influence_,
+                                      ppr_alpha_));
+  return util::WriteFileAtomically(path, file, "ScoringSnapshot::Save");
 }
 
 util::Result<ScoringSnapshot> ScoringSnapshot::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return util::Status::NotFound("ScoringSnapshot::Load: no such file: " +
-                                  path);
-  }
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (blob.size() < sizeof(FileHeader)) {
-    return Corrupt("file shorter than the header");
-  }
-  FileHeader header;
-  std::memcpy(&header, blob.data(), sizeof header);
-  if (std::memcmp(header.magic, kMagic, sizeof kMagic) != 0) {
-    return Corrupt("bad magic");
-  }
-  if (header.version != kFormatVersion) {
-    return util::Status::FailedPrecondition(
-        "ScoringSnapshot::Load: format version " +
-        std::to_string(header.version) + " != supported version " +
-        std::to_string(kFormatVersion));
-  }
-  const std::string_view payload(blob.data() + sizeof header,
-                                 blob.size() - sizeof header);
-  if (payload.size() != header.payload_size) {
-    return Corrupt("payload size mismatch (truncated or padded file)");
-  }
-  if (util::Fnv1aHash(payload) != header.checksum) {
-    return Corrupt("payload checksum mismatch");
+  const util::Result<util::FramedFile> file =
+      util::FramedFile::Read(path, kFileFormat, "ScoringSnapshot::Load");
+  if (!file.ok()) return file.status();
+  if (file.value().num_records() != 1) {
+    return Corrupt("expected one record, found " +
+                   std::to_string(file.value().num_records()));
   }
 
-  PayloadReader reader(payload);
+  PayloadReader reader(file.value().record(0));
   ScoringSnapshot snap;
   if (!reader.ReadMatrix(&snap.features_)) return Corrupt("features block");
 

@@ -13,11 +13,10 @@
 // immutability contract the RequestBatcher relies on while its leader
 // scores and other callers read the snapshot.
 //
-// Snapshots persist: Save/Load use a versioned binary header with an
-// FNV-1a payload checksum. A truncated or bit-flipped file is rejected
-// with kDataLoss, a future format version with kFailedPrecondition, a
-// missing file with kNotFound — callers can branch on code() instead of
-// parsing messages.
+// Snapshots persist as a one-record framed file (util/framed_file.h):
+// Save replaces its target atomically; Load rejects a truncated or
+// bit-flipped file with kDataLoss, another format version with
+// kFailedPrecondition, a missing file with kNotFound.
 //
 // SnapshotScorer runs the discriminator's eval forward over any subset of
 // nodes. Every la kernel involved computes each output row from only the
@@ -86,10 +85,11 @@ class ScoringSnapshot {
       la::SparseMatrix walk, std::vector<int> example_labels,
       std::vector<double> error_influence, double ppr_alpha = 0.15);
 
-  // Versioned binary serialization (header + FNV-1a payload checksum).
+  // Writes `path + ".tmp"` and renames it over `path`: a failed Save
+  // leaves the previous file intact (util::WriteFileAtomically's codes).
   util::Status Save(const std::string& path) const;
   // kNotFound (no file), kDataLoss (truncated / corrupt / checksum
-  // mismatch), kFailedPrecondition (format version ahead of this build).
+  // mismatch), kFailedPrecondition (format version other than this one).
   static util::Result<ScoringSnapshot> Load(const std::string& path);
 
   size_t num_nodes() const { return features_.rows(); }

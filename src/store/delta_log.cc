@@ -1,39 +1,16 @@
 #include "store/delta_log.h"
 
-#include <cstring>
-#include <iterator>
-#include <string_view>
 #include <utility>
 
-#include "util/string_util.h"
+#include "util/framed_file.h"
 
 namespace gale::store {
 namespace {
 
-// On-disk layout (same persistence conventions as serve/snapshot.cc):
-// an 8-byte magic plus version/flags header, then per-batch framed
-// records {payload_size, FNV-1a checksum, payload bytes}.
-constexpr char kMagic[8] = {'G', 'A', 'L', 'E', 'D', 'L', 'O', 'G'};
+// A log is a framed file (util/framed_file.h) with one record per batch.
+constexpr util::FileFormat kFileFormat{"GALEDLOG", kDeltaLogFormatVersion};
 
-struct FileHeader {
-  char magic[8];
-  uint32_t version;
-  uint32_t flags;  // reserved, 0
-};
-
-struct RecordHeader {
-  uint64_t payload_size;
-  uint64_t checksum;  // FNV-1a over the payload bytes
-};
-
-void AppendBytes(std::string* out, const void* p, size_t bytes) {
-  out->append(static_cast<const char*>(p), bytes);
-}
-
-template <typename T>
-void AppendPod(std::string* out, T v) {
-  AppendBytes(out, &v, sizeof v);
-}
+using util::AppendBytes, util::AppendPod;
 
 void AppendValue(std::string* out, const graph::AttributeValue& value) {
   AppendPod<uint32_t>(out, static_cast<uint32_t>(value.kind));
@@ -84,26 +61,10 @@ std::string SerializeBatch(const DeltaBatch& batch) {
   return out;
 }
 
-// Bounds-checked cursor over one record's payload (the snapshot loader's
-// reader, specialized to delta payloads).
-class PayloadReader {
+// The payload cursor, plus the delta and value decoders.
+class PayloadReader : public util::ByteReader {
  public:
-  explicit PayloadReader(std::string_view data) : data_(data) {}
-
-  size_t remaining() const { return data_.size() - pos_; }
-  bool exhausted() const { return pos_ == data_.size(); }
-
-  bool ReadBytes(void* p, size_t bytes) {
-    if (bytes > remaining()) return false;
-    std::memcpy(p, data_.data() + pos_, bytes);
-    pos_ += bytes;
-    return true;
-  }
-
-  template <typename T>
-  bool ReadPod(T* v) {
-    return ReadBytes(v, sizeof *v);
-  }
+  using ByteReader::ByteReader;
 
   bool ReadValue(graph::AttributeValue* value) {
     uint32_t kind = 0;
@@ -184,72 +145,12 @@ class PayloadReader {
     }
     return false;  // unknown delta kind
   }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
 };
 
 util::Status CorruptRecord(const std::string& who, size_t record,
                            const std::string& what) {
   return util::Status::DataLoss(who + ": record " + std::to_string(record) +
                                 ": " + what);
-}
-
-util::Status CheckHeader(const std::string& blob, const std::string& who) {
-  if (blob.size() < sizeof(FileHeader)) {
-    return util::Status::DataLoss(who + ": file shorter than the header");
-  }
-  FileHeader header;
-  std::memcpy(&header, blob.data(), sizeof header);
-  if (std::memcmp(header.magic, kMagic, sizeof kMagic) != 0) {
-    return util::Status::DataLoss(who + ": bad magic");
-  }
-  if (header.version != kDeltaLogFormatVersion) {
-    return util::Status::FailedPrecondition(
-        who + ": format version " + std::to_string(header.version) +
-        " != supported version " + std::to_string(kDeltaLogFormatVersion));
-  }
-  return util::Status::Ok();
-}
-
-// Reads the whole log at `path` into `*blob` and checks its file header.
-util::Status ReadLogBytes(const std::string& path, const std::string& who,
-                          std::string* blob) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::Status::NotFound(who + ": no such file: " + path);
-  blob->assign(std::istreambuf_iterator<char>(in),
-               std::istreambuf_iterator<char>());
-  return CheckHeader(*blob, who);
-}
-
-// Walks the framed records after the file header, checking each record's
-// size and checksum before handing its payload to
-// `visit(record_index, payload)`. Stops at the first bad frame or the
-// first non-OK status `visit` returns. The reader decodes through it and
-// OpenForAppend validates through it, so both judge a frame the same way.
-template <typename Visit>
-util::Status ForEachRecord(const std::string& blob, const std::string& who,
-                           Visit visit) {
-  size_t pos = sizeof(FileHeader);
-  for (size_t index = 0; pos < blob.size(); ++index) {
-    if (blob.size() - pos < sizeof(RecordHeader)) {
-      return CorruptRecord(who, index, "truncated record header");
-    }
-    RecordHeader record;
-    std::memcpy(&record, blob.data() + pos, sizeof record);
-    pos += sizeof record;
-    if (record.payload_size > blob.size() - pos) {
-      return CorruptRecord(who, index, "truncated payload");
-    }
-    const std::string_view payload(blob.data() + pos, record.payload_size);
-    pos += record.payload_size;
-    if (util::Fnv1aHash(payload) != record.checksum) {
-      return CorruptRecord(who, index, "payload checksum mismatch");
-    }
-    GALE_RETURN_IF_ERROR(visit(index, payload));
-  }
-  return util::Status::Ok();
 }
 
 }  // namespace
@@ -318,20 +219,12 @@ bool Delta::operator==(const Delta& other) const {
 }
 
 util::Result<DeltaLogWriter> DeltaLogWriter::Create(const std::string& path) {
+  GALE_RETURN_IF_ERROR(util::WriteFileAtomically(
+      path, util::FramedFileHeader(kFileFormat), "DeltaLogWriter::Create"));
   DeltaLogWriter writer;
-  writer.out_.open(path, std::ios::binary | std::ios::trunc);
+  writer.out_.open(path, std::ios::binary | std::ios::app);
   if (!writer.out_) {
     return util::Status::NotFound("DeltaLogWriter::Create: cannot open " +
-                                  path);
-  }
-  FileHeader header;
-  std::memcpy(header.magic, kMagic, sizeof kMagic);
-  header.version = kDeltaLogFormatVersion;
-  header.flags = 0;
-  writer.out_.write(reinterpret_cast<const char*>(&header), sizeof header);
-  writer.out_.flush();
-  if (!writer.out_) {
-    return util::Status::Internal("DeltaLogWriter::Create: write failed: " +
                                   path);
   }
   return writer;
@@ -339,14 +232,11 @@ util::Result<DeltaLogWriter> DeltaLogWriter::Create(const std::string& path) {
 
 util::Result<DeltaLogWriter> DeltaLogWriter::OpenForAppend(
     const std::string& path) {
-  const std::string who = "DeltaLogWriter::OpenForAppend";
-  std::string blob;
-  GALE_RETURN_IF_ERROR(ReadLogBytes(path, who, &blob));
   // Appending after a torn or corrupt record would acknowledge batches
   // that ReadDeltaLog can never return, so every frame is checked first.
-  GALE_RETURN_IF_ERROR(ForEachRecord(
-      blob, who,
-      [](size_t, std::string_view) { return util::Status::Ok(); }));
+  GALE_RETURN_IF_ERROR(util::FramedFile::Read(path, kFileFormat,
+                                              "DeltaLogWriter::OpenForAppend")
+                           .status());
 
   DeltaLogWriter writer;
   writer.out_.open(path, std::ios::binary | std::ios::app);
@@ -362,13 +252,9 @@ util::Status DeltaLogWriter::Append(const DeltaBatch& batch) {
     return util::Status::InvalidArgument(
         "DeltaLogWriter::Append: empty batch");
   }
-  const std::string payload = SerializeBatch(batch);
-  RecordHeader record;
-  record.payload_size = payload.size();
-  record.checksum =
-      util::Fnv1aHash(std::string_view(payload.data(), payload.size()));
-  out_.write(reinterpret_cast<const char*>(&record), sizeof record);
-  out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  std::string record;
+  util::AppendRecord(&record, SerializeBatch(batch));
+  out_.write(record.data(), static_cast<std::streamsize>(record.size()));
   out_.flush();
   if (!out_) {
     return util::Status::Internal("DeltaLogWriter::Append: write failed");
@@ -379,34 +265,31 @@ util::Status DeltaLogWriter::Append(const DeltaBatch& batch) {
 
 util::Result<std::vector<DeltaBatch>> ReadDeltaLog(const std::string& path) {
   const std::string who = "ReadDeltaLog";
-  std::string blob;
-  GALE_RETURN_IF_ERROR(ReadLogBytes(path, who, &blob));
+  const util::Result<util::FramedFile> file =
+      util::FramedFile::Read(path, kFileFormat, who);
+  if (!file.ok()) return file.status();
 
   std::vector<DeltaBatch> batches;
-  const util::Status status = ForEachRecord(
-      blob, who,
-      [&](size_t index, std::string_view payload) -> util::Status {
-        PayloadReader reader(payload);
-        uint64_t num_deltas = 0;
-        // Each delta is at least its 4-byte kind tag.
-        if (!reader.ReadPod(&num_deltas) ||
-            num_deltas > reader.remaining() / sizeof(uint32_t)) {
-          return CorruptRecord(who, index, "delta count");
-        }
-        DeltaBatch batch(num_deltas);
-        for (uint64_t i = 0; i < num_deltas; ++i) {
-          if (!reader.ReadDelta(&batch[i])) {
-            return CorruptRecord(who, index,
-                                 "delta " + std::to_string(i) + " malformed");
-          }
-        }
-        if (!reader.exhausted()) {
-          return CorruptRecord(who, index, "trailing bytes after payload");
-        }
-        batches.push_back(std::move(batch));
-        return util::Status::Ok();
-      });
-  if (!status.ok()) return status;
+  for (size_t index = 0; index < file.value().num_records(); ++index) {
+    PayloadReader reader(file.value().record(index));
+    uint64_t num_deltas = 0;
+    // Each delta is at least its 4-byte kind tag.
+    if (!reader.ReadPod(&num_deltas) ||
+        num_deltas > reader.remaining() / sizeof(uint32_t)) {
+      return CorruptRecord(who, index, "delta count");
+    }
+    DeltaBatch batch(num_deltas);
+    for (uint64_t i = 0; i < num_deltas; ++i) {
+      if (!reader.ReadDelta(&batch[i])) {
+        return CorruptRecord(who, index,
+                             "delta " + std::to_string(i) + " malformed");
+      }
+    }
+    if (!reader.exhausted()) {
+      return CorruptRecord(who, index, "trailing bytes after payload");
+    }
+    batches.push_back(std::move(batch));
+  }
   return batches;
 }
 

@@ -2,12 +2,11 @@
 // (DESIGN.md §14).
 //
 // A delta log is an append-only stream of *batches*, each a vector of
-// typed graph mutations (Delta). On disk the stream is a 16-byte file
-// header (magic + format version) followed by one framed record per
-// batch: {payload_size, FNV-1a checksum} then the raw little-endian
-// payload. Records are framed independently so a log truncated mid-batch
-// loses only its tail — ReadDeltaLog surfaces exactly which byte range
-// went bad via kDataLoss instead of crashing or silently dropping data.
+// typed graph mutations (Delta). On disk it is a framed file
+// (util/framed_file.h, the container of serve::ScoringSnapshot too) with
+// one checksummed record per batch, so ReadDeltaLog names the first torn
+// or corrupt record via kDataLoss instead of crashing or silently
+// dropping data.
 //
 // The log is the replay contract of the store: applying the same batches
 // in order to the same base graph reproduces the same
@@ -15,9 +14,6 @@
 // (feature encoding, normalized adjacency, PPR, influence baking) is
 // bitwise deterministic at every GALE_NUM_THREADS, byte-identical
 // published snapshots (store_publish_test pins it at 1 and 4 threads).
-//
-// Like serve::ScoringSnapshot, the format memcpy's native little-endian
-// PODs: a same-architecture persistence format, not a wire format.
 
 #ifndef GALE_STORE_DELTA_LOG_H_
 #define GALE_STORE_DELTA_LOG_H_
@@ -88,15 +84,16 @@ inline constexpr uint32_t kDeltaLogFormatVersion = 1;
 // one writer per log.
 class DeltaLogWriter {
  public:
-  // Creates (truncating) a new log at `path` with a fresh header.
-  // kNotFound when the path cannot be opened.
+  // Replaces any file at `path` with a fresh header, atomically
+  // (util::WriteFileAtomically's codes), then opens it for appending.
   static util::Result<DeltaLogWriter> Create(const std::string& path);
 
   // Reopens an existing log for appending. The header and every existing
-  // record's frame (size and checksum) are validated first: kNotFound
-  // missing file, kDataLoss short/corrupt header, bad magic or the first
-  // torn or corrupt record (named by index), kFailedPrecondition version
-  // skew. Deltas inside a record are not decoded; ReadDeltaLog is the
+  // record's frame (size and checksum) are validated first, by the same
+  // reader as ReadDeltaLog: kNotFound missing file, kDataLoss short or
+  // corrupt header (bad magic, nonzero flags) or the first torn or
+  // corrupt record (named by index), kFailedPrecondition version skew.
+  // Deltas inside a record are not decoded; ReadDeltaLog is the
   // full-validation path.
   static util::Result<DeltaLogWriter> OpenForAppend(const std::string& path);
 
@@ -118,8 +115,9 @@ class DeltaLogWriter {
 
 // Reads and fully validates a delta log: every record's frame, checksum,
 // and per-delta encoding. kNotFound (no file), kDataLoss (truncation,
-// checksum mismatch, bad magic, unknown delta/value kind, trailing
-// garbage), kFailedPrecondition (format version ahead of this build).
+// checksum mismatch, bad magic, nonzero flags, unknown delta/value kind,
+// trailing garbage), kFailedPrecondition (format version other than this
+// one).
 util::Result<std::vector<DeltaBatch>> ReadDeltaLog(const std::string& path);
 
 }  // namespace gale::store

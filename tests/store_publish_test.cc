@@ -12,15 +12,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
-
-#include <unistd.h>
 
 #include "core/sgan.h"
 #include "graph/attributed_graph.h"
@@ -31,6 +25,7 @@
 #include "obs/trace.h"
 #include "serve/snapshot.h"
 #include "store/delta_log.h"
+#include "test_files.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -41,6 +36,8 @@ namespace {
 
 using graph::AttributeValue;
 using graph::ValueKind;
+using testing::ReadFileBytes;
+using testing::TempPath;
 
 constexpr size_t kNodes = 30;
 
@@ -92,29 +89,6 @@ core::DiscriminatorSnapshot StoreDiscriminator(
     const VersionedGraphStore& store) {
   const graph::FeatureEncoder encoder;
   return MakeDiscriminator(encoder.RawDims(store.graph()));
-}
-
-// Files live in a per-process directory, removed at exit: ctest runs this
-// binary and its _mt4 entry concurrently, and shared paths would let one
-// truncate the other's files.
-std::string TempPath(const std::string& name) {
-  static const struct ProcessDir {
-    std::string path =
-        ::testing::TempDir() + "/gale_store_" + std::to_string(getpid());
-    ProcessDir() { std::filesystem::create_directories(path); }
-    ~ProcessDir() {
-      std::error_code ignored;
-      std::filesystem::remove_all(path, ignored);
-    }
-  } dir;
-  return dir.path + "/" + name;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
 }
 
 // Serialized bytes of a published snapshot — the memcmp currency of every
