@@ -1,9 +1,10 @@
 // Lane-width scaling sweep for the vectorized kernels: the same fixed
-// workloads are timed once per instruction set (scalar, and avx2 when
-// this CPU supports it) at a single thread, with speedups reported
-// against the scalar run of the same binary. Because every SIMD kernel is
-// bitwise-identical to its scalar fallback (see src/la/simd.h), the sweep
-// measures pure lane-width throughput, not numerical shortcuts.
+// workloads are timed once per instruction set (scalar, then avx2 and
+// avx512 when this CPU supports them) at a single thread, with the
+// widest tier's speedup against the scalar run of the same binary.
+// Because every SIMD kernel is bitwise-identical to its scalar fallback
+// (see src/la/simd.h), the sweep measures pure lane-width throughput, not
+// numerical shortcuts.
 //
 // The "SganUpdate 512+128 d32" row is the acceptance-criteria workload:
 // its avx2/scalar ratio is the single-thread speedup the SIMD substrate
@@ -63,14 +64,6 @@ struct Workload {
   std::string name;
   std::function<void()> run;
 };
-
-std::vector<la::simd::Isa> IsasOnThisMachine() {
-  std::vector<la::simd::Isa> isas = {la::simd::Isa::kScalar};
-  if (la::simd::BestSupportedIsa() == la::simd::Isa::kAvx2) {
-    isas.push_back(la::simd::Isa::kAvx2);
-  }
-  return isas;
-}
 
 }  // namespace
 }  // namespace gale
@@ -134,7 +127,7 @@ int main(int argc, char** argv) {
                                            /*epochs=*/1);
                        }});
 
-  const std::vector<la::simd::Isa> isas = IsasOnThisMachine();
+  const std::vector<la::simd::Isa> isas = la::simd::SupportedIsas();
   std::vector<std::string> header = {"kernel"};
   for (la::simd::Isa isa : isas) {
     header.push_back(std::string(la::simd::IsaName(isa)) + " (ms)");

@@ -60,23 +60,23 @@ void MatMulRowSweep(const double* a_row, const double* b, double* out_row,
   }
 }
 
-// A·B over output rows [r0, r1) in 4 x 8 register tiles. a: ? x cols,
-// b: cols x n, out: ? x n. Ragged columns and rows take the Axpy4/Axpy row
-// sweep, which computes every element with the tile's expression tree.
+// A·B over output rows [r0, r1) in four-row register tiles. a: ? x cols,
+// b: cols x n, out: ? x n. The columns a tier's tiles leave (n % 8 under
+// the 4 x 8 tiles, none on AVX-512) and the ragged rows take the
+// Axpy4/Axpy row sweep, which computes every element with the tile's
+// expression tree.
 __attribute__((noinline)) void MatMulShard(const double* a, const double* b,
                                            double* out, size_t cols, size_t n,
                                            size_t r0, size_t r1) {
-  const size_t n8 = n - n % 8;
   size_t i = r0;
   for (; i + 4 <= r1; i += 4) {
     const double* a_rows = a + i * cols;
     double* out_rows = out + i * n;
-    for (size_t j = 0; j < n8; j += 8) {
-      simd::MatMulTile4x8(out_rows + j, n, a_rows, cols, b + j, n, cols);
-    }
-    if (n8 < n) {
+    const size_t tiled =
+        simd::MatMulTiles4(out_rows, n, a_rows, cols, b, n, cols, n);
+    if (tiled < n) {
       for (size_t r = 0; r < 4; ++r) {
-        MatMulRowSweep(a_rows + r * cols, b, out_rows + r * n, cols, n, n8);
+        MatMulRowSweep(a_rows + r * cols, b, out_rows + r * n, cols, n, tiled);
       }
     }
   }
@@ -84,10 +84,15 @@ __attribute__((noinline)) void MatMulShard(const double* a, const double* b,
 }
 
 // Aᵀ·B over output rows (= columns of A) [i0, i1). a: rows x a_cols,
-// b: rows x n, out: a_cols x n.
+// b: rows x n, out: a_cols x n. The output rows a tier's register tiles
+// leave (all of them under AVX2 and scalar) take Axpy4/Axpy sweeps over
+// four source rows at a time; both add each element's k-groups in
+// ascending source-row order.
 __attribute__((noinline)) void TransposedMatMulShard(
     const double* a, const double* b, double* out, size_t rows, size_t a_cols,
     size_t n, size_t i0, size_t i1) {
+  i0 += simd::TransposedMatMulTiles4(out + i0 * n, n, a + i0, a_cols, b, n,
+                                     rows, n, i1 - i0);
   size_t r = 0;
   for (; r + 4 <= rows; r += 4) {
     const double* a0 = a + r * a_cols;
@@ -109,27 +114,15 @@ __attribute__((noinline)) void TransposedMatMulShard(
   }
 }
 
-// A·Bᵀ over output rows [r0, r1) in 2 x 4 register tiles: every element
-// is an independent Dot4 (four accumulators, combine (0+1)+(2+3)), and
-// ragged rows and columns call Dot4 itself. a: ? x cols,
+// A·Bᵀ over output rows [r0, r1) in register tiles: every element is an
+// independent Dot4 (four accumulators, combine (0+1)+(2+3)), and the rows
+// a tier's tiles leave call Dot4 itself. a: ? x cols,
 // b: b_rows x cols, out: ? x b_rows.
 __attribute__((noinline)) void MatMulTransposedShard(
     const double* a, const double* b, double* out, size_t cols, size_t b_rows,
     size_t r0, size_t r1) {
-  const size_t n4 = b_rows - b_rows % 4;
-  size_t i = r0;
-  for (; i + 2 <= r1; i += 2) {
-    const double* a_rows = a + i * cols;
-    double* out_rows = out + i * b_rows;
-    for (size_t j = 0; j < n4; j += 4) {
-      simd::DotTile2x4(out_rows + j, b_rows, a_rows, cols, b + j * cols, cols,
-                       cols);
-    }
-    for (size_t j = n4; j < b_rows; ++j) {
-      out_rows[j] = simd::Dot4(a_rows, b + j * cols, cols);
-      out_rows[b_rows + j] = simd::Dot4(a_rows + cols, b + j * cols, cols);
-    }
-  }
+  size_t i = r0 + simd::DotTileRows(out + r0 * b_rows, b_rows, a + r0 * cols,
+                                    cols, b, cols, cols, r1 - r0, b_rows);
   for (; i < r1; ++i) {
     for (size_t j = 0; j < b_rows; ++j) {
       out[i * b_rows + j] = simd::Dot4(a + i * cols, b + j * cols, cols);
@@ -286,7 +279,7 @@ void Matrix::MatMulInto(const Matrix& other, Matrix* out,
   const size_t n = other.cols_;
   // Row-parallel (each shard owns disjoint output rows). Each output
   // element adds ((a0·b0 + a1·b1) + a2·b2) + a3·b3 per k-group in
-  // ascending k, then a·b per leftover k, whether it sits in a 4 x 8
+  // ascending k, then a·b per leftover k, whether it sits in a four-row
   // register tile or in a ragged row sweep; the inner loops are
   // branch-free on purpose — a zero-skip test on dense data defeats
   // vectorization, and genuinely sparse operands belong in SparseMatrix.
@@ -341,8 +334,8 @@ void Matrix::MatMulTransposedInto(const Matrix& other, Matrix* out) const {
   // no zero-fill is needed and an accumulate flag would be a lie.
   out->EnsureShape(rows_, other.rows_);
   // Row-of-output parallel; every element is an independent Dot4 (tiled
-  // 2 x 4 in registers), whose combine order is fixed, so results are
-  // bitwise identical at every thread count.
+  // in registers), whose combine order is fixed, so results are bitwise
+  // identical at every thread count.
   util::ParallelFor(0, rows_, kRowGrain, [&](size_t r0, size_t r1) {
     MatMulTransposedShard(data_.data(), other.data_.data(), out->data_.data(),
                           cols_, other.rows_, r0, r1);

@@ -15,6 +15,7 @@ std::atomic<int> g_isa{-1};
 
 Isa BestSupportedIsa() {
 #if GALE_SIMD_X86
+  if (__builtin_cpu_supports("avx512f")) return Isa::kAvx512;
   if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
 #endif
   return Isa::kScalar;
@@ -22,6 +23,8 @@ Isa BestSupportedIsa() {
 
 const char* IsaName(Isa isa) {
   switch (isa) {
+    case Isa::kAvx512:
+      return "avx512";
     case Isa::kAvx2:
       return "avx2";
     case Isa::kScalar:
@@ -33,12 +36,15 @@ const char* IsaName(Isa isa) {
 namespace internal {
 
 int ResolveIsa() {
-  // "avx2" and unrecognized values keep the probed default, which is
-  // already the widest ISA the CPU runs; only "scalar" narrows it.
+  // "scalar" and "avx2" narrow the probed default, which is the widest
+  // ISA the CPU runs; "avx512" and unrecognized values keep it.
   Isa isa = BestSupportedIsa();
   // gale-lint: allow(env-read): one-time ISA pin, cached after first call
   const char* env = std::getenv("GALE_SIMD_ISA");
   if (env != nullptr && std::strcmp(env, "scalar") == 0) isa = Isa::kScalar;
+  if (env != nullptr && std::strcmp(env, "avx2") == 0 && isa > Isa::kAvx2) {
+    isa = Isa::kAvx2;
+  }
   const int v = static_cast<int>(isa);
   // Several threads may race the first resolution; they all compute the
   // same value, so a plain store is fine.

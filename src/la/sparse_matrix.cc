@@ -22,6 +22,11 @@ constexpr size_t kBlockCostTarget = 4096;
 // Per-row overhead charged on top of the row's nonzeros (loop setup, the
 // row-pointer load, the output-row base computation).
 constexpr size_t kRowCost = 4;
+// Minimum sliced blocks per shard of the width-1 product. A block's
+// single-column work is a few microseconds, so a sweep of SP's size
+// (~10 blocks, ~15 µs) costs less than handing shards to the pool: it
+// runs inline, and only sweeps past 2·kSlicedGrain blocks split.
+constexpr size_t kSlicedGrain = 32;
 
 // B rows per panel of the grouped Aᵀ·B: every output row takes its terms
 // from one panel before the next, so the panel stays cache-resident while
@@ -332,11 +337,12 @@ void SparseMatrix::MultiplyStridedInto(const double* in, size_t width,
   if (width == 1 && stride <= std::numeric_limits<uint32_t>::max() &&
       simd::SlicedGatherActive()) {
     const SlicedView& v = EnsureSlicedView();
-    util::ParallelFor(0, v.block.size() - 1, 1, [&](size_t b0, size_t b1) {
-      simd::SlicedGather(v.chunk_ptr.data(), v.len.data(), v.row.data(),
-                         rows_, v.idx.data(), v.val.data(), in, stride, out,
-                         v.block[b0], v.block[b1]);
-    });
+    util::ParallelFor(
+        0, v.block.size() - 1, kSlicedGrain, [&](size_t b0, size_t b1) {
+          simd::SlicedGather(v.chunk_ptr.data(), v.len.data(), v.row.data(),
+                             rows_, v.idx.data(), v.val.data(), in, stride,
+                             out, v.block[b0], v.block[b1]);
+        });
     return;
   }
   util::ParallelFor(0, num_row_blocks(), 1, [&](size_t b0, size_t b1) {

@@ -25,7 +25,7 @@
 // propagation, GAugment's neighbour mean and PPR all use it.
 //
 // A single column (width 1: an SpMV, a one-seed PPR sweep) has no output
-// columns to put in SIMD lanes, so on AVX2 it runs over a sliced view
+// columns to put in SIMD lanes, so from AVX2 up it runs over a sliced view
 // instead (SELL-C-σ with C = 4; Kreutzer et al., SIAM J. Sci. Comput.
 // 2014): the rows stably sorted by length and grouped four at a time,
 // each chunk's entries stored step-major, so one 4-lane accumulator sums
@@ -139,7 +139,7 @@ class SparseMatrix {
   // leaving columns [width, stride) untouched. Column j's accumulation
   // order over k does not depend on width, so each live column is bitwise
   // identical to an SpMV (width = stride = 1) of that column. Width 1 runs
-  // over the sliced view on AVX2 (see the file comment). `out` must not
+  // over the sliced view from AVX2 up (see the file comment). `out` must not
   // alias `in`; both row strides must be >= width.
   void MultiplyStridedInto(const double* in, size_t width, size_t stride,
                            double* out) const;
@@ -192,8 +192,8 @@ class SparseMatrix {
   mutable simd::AlignedVector t_val_;            // size nnz
   mutable simd::AlignedU32Vector t_block_row_;   // nnz-balanced, over cols_
 
-  // Cached sliced view for the width-1 product, built lazily on the
-  // first width-1 product that runs on AVX2. It never changes once built,
+  // Cached sliced view for the width-1 product, built lazily by the
+  // first width-1 product on AVX2 or AVX-512. It never changes once built,
   // so copies share it; AssignFromDense drops this matrix's reference.
   mutable std::shared_ptr<const SlicedView> sliced_;
 };

@@ -22,7 +22,7 @@
 //
 // A row computed alone (a Row(v) miss, or a batch down to one live
 // column, which is every incremental store publish) is a width-1 product
-// per sweep. On AVX2 it runs over the walk's sliced view, four rows per
+// per sweep. From AVX2 up it runs over the walk's sliced view, four rows per
 // vector accumulator (la/sparse_matrix.h), built by the first such sweep
 // and kept with the walk; each element keeps the CSR gather's bits.
 

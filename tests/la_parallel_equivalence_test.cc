@@ -86,10 +86,7 @@ TEST(ParallelEquivalenceTest, RegisterTilesAcrossThreadsAndIsas) {
   // heights), columns on and off the tile widths, inner lengths with and
   // without a k tail. Every (ISA, thread count) pair must reproduce the
   // scalar, one-thread bits, signed zeros included.
-  std::vector<la::simd::Isa> isas = {la::simd::Isa::kScalar};
-  if (la::simd::BestSupportedIsa() == la::simd::Isa::kAvx2) {
-    isas.push_back(la::simd::Isa::kAvx2);
-  }
+  const std::vector<la::simd::Isa> isas = la::simd::SupportedIsas();
   const std::pair<size_t, size_t> shapes[] = {{7, 5},   {8, 162}, {9, 3},
                                               {24, 64}, {64, 162}, {162, 64}};
   uint64_t seed = 200;

@@ -231,10 +231,7 @@ TEST(KMeansTest, LanePanelsMatchRowDistanceReference) {
   // 600 points make three reduce shards; 2500 x 24 is the selector's shape
   // on the detect workload. k = 7 and 8 end on a partial and a full lane
   // panel, k = 40 spans five panels.
-  std::vector<la::simd::Isa> isas = {la::simd::Isa::kScalar};
-  if (la::simd::BestSupportedIsa() == la::simd::Isa::kAvx2) {
-    isas.push_back(la::simd::Isa::kAvx2);
-  }
+  const std::vector<la::simd::Isa> isas = la::simd::SupportedIsas();
   for (const auto& [n, d] : {std::pair<size_t, size_t>{600, 5}, {2500, 24}}) {
     util::Rng data_rng(n + d);
     const Matrix data = Matrix::RandomNormal(n, d, 1.0, data_rng);

@@ -264,14 +264,6 @@ bool SameBytes(const Matrix& a, const Matrix& b) {
                      a.size() * sizeof(double)) == 0;
 }
 
-std::vector<simd::Isa> IsasUnderTest() {
-  std::vector<simd::Isa> isas = {simd::Isa::kScalar};
-  if (simd::BestSupportedIsa() == simd::Isa::kAvx2) {
-    isas.push_back(simd::Isa::kAvx2);
-  }
-  return isas;
-}
-
 // rows x cols with each entry nonzero with probability `density`; the
 // zeros alternate +0.0 and -0.0, row 1 and column 2 are all zero (when
 // they exist).
@@ -328,7 +320,7 @@ TEST(GroupedProductTest, MatchesTheDenseKernelsBitwise) {
           ASSERT_TRUE(SameBytes(from_source_t, want_t));
           for (int threads : {1, 4}) {
             util::ScopedParallelism p(threads);
-            for (simd::Isa isa : IsasUnderTest()) {
+            for (simd::Isa isa : simd::SupportedIsas()) {
               simd::ScopedIsaOverride pin(isa);
               const std::string where =
                   "rows=" + std::to_string(rows) + " k=" + std::to_string(k) +
@@ -474,7 +466,7 @@ void ExpectWidthOneMatchesCsrLoop(const SparseMatrix& s,
     const std::vector<double> want = CsrLoop(s, in.data(), stride);
     for (int threads : {1, 4}) {
       util::ScopedParallelism p(threads);
-      for (simd::Isa isa : IsasUnderTest()) {
+      for (simd::Isa isa : simd::SupportedIsas()) {
         simd::ScopedIsaOverride pin(isa);
         const std::string where = what + " stride=" + std::to_string(stride) +
                                   " threads=" + std::to_string(threads) +

@@ -106,7 +106,7 @@ void CheckRowsMatchReference(const PprOptions& base_options) {
   const std::vector<std::vector<double>> reference =
       ReferenceRows(walk, base_options);
 
-  for (la::simd::Isa isa : {la::simd::Isa::kScalar, la::simd::Isa::kAvx2}) {
+  for (la::simd::Isa isa : la::simd::SupportedIsas()) {
     la::simd::ScopedIsaOverride pin(isa);
     for (int threads : {1, 4}) {
       util::ScopedParallelism p(threads);
@@ -185,7 +185,7 @@ TEST(PprBatchEquivalenceTest, NarrowBatchesMatchReferenceRows) {
 
   const std::vector<std::vector<double>> reference =
       ReferenceRows(walk, PprOptions{});
-  for (la::simd::Isa isa : {la::simd::Isa::kScalar, la::simd::Isa::kAvx2}) {
+  for (la::simd::Isa isa : la::simd::SupportedIsas()) {
     la::simd::ScopedIsaOverride pin(isa);
     for (int threads : {1, 4}) {
       util::ScopedParallelism p(threads);
