@@ -1,5 +1,7 @@
 #include "nn/gcn_layer.h"
 
+#include <cmath>
+
 // gale-lint: allow(simd-include): activation sweeps use lane primitives here
 #include "la/simd.h"
 #include "util/check.h"
@@ -19,8 +21,10 @@ GcnLayer::GcnLayer(const la::SparseMatrix* adjacency, size_t in_features,
   GALE_CHECK(adjacency != nullptr);
   GALE_CHECK_EQ(adjacency->rows(), adjacency->cols());
   // The backward mask reads the activated output, which needs the sign of
-  // H to determine the sign of Z — true for leaky slopes > 0 only.
-  GALE_CHECK(options_.leaky_slope > 0.0) << "GCN leaky slope must be > 0";
+  // H to determine the sign of Z — true for finite leaky slopes > 0 only
+  // (an infinite slope makes inf·(±0) = NaN).
+  GALE_CHECK(options_.leaky_slope > 0.0 && std::isfinite(options_.leaky_slope))
+      << "GCN leaky slope must be finite and > 0";
 }
 
 const la::Matrix& GcnLayer::Forward(const la::Matrix& input,

@@ -37,7 +37,7 @@ enum class GcnActivation {
 
 struct GcnLayerOptions {
   GcnActivation activation = GcnActivation::kNone;
-  double leaky_slope = 0.2;  // read only for kLeakyRelu; must be > 0
+  double leaky_slope = 0.2;  // read only for kLeakyRelu; finite, > 0
 };
 
 class GcnLayer : public Layer {

@@ -1,4 +1,6 @@
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -7,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "gradient_check.h"
+#include "la/simd.h"
 #include "nn/activations.h"
 #include "nn/batch_norm.h"
 #include "nn/dense.h"
@@ -55,6 +58,64 @@ TEST(ReluTest, ForwardClampsNegatives) {
   la::Matrix y = relu.Forward(x, false);
   EXPECT_DOUBLE_EQ(y.At(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(y.At(0, 2), 2.0);
+}
+
+// Backward masks on the cached output. Five copies of the seven edge
+// inputs put each in every lane of a 4-lane block, and NaN and ±inf in
+// the scalar tail too. LeakyRelu's mask equals the input rule in <= 0 at
+// every input, NaN included; Relu's Forward maps NaN to +0.0, so its
+// Backward passes a NaN input no gradient.
+TEST(ReluTest, BackwardMaskEdgeInputs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> edge = {-1.0, -0.0, 0.0, 2.0, nan, -inf, inf};
+  const std::vector<double> relu_grad = {0, 0, 0, 1, 0, 0, 1};
+  const std::vector<double> leaky_grad = {0.2, 0.2, 0.2, 1, 1, 0.2, 1};
+  la::Matrix x(1, 5 * edge.size());
+  for (size_t c = 0; c < x.cols(); ++c) x.At(0, c) = edge[c % edge.size()];
+  const la::Matrix ones(x.rows(), x.cols(), 1.0);
+  for (la::simd::Isa isa : la::simd::SupportedIsas()) {
+    la::simd::ScopedIsaOverride pin(isa);
+    Relu relu;
+    LeakyRelu leaky(0.2);
+    relu.Forward(x, true);
+    leaky.Forward(x, true);
+    const la::Matrix& relu_g = relu.Backward(ones);
+    const la::Matrix& leaky_g = leaky.Backward(ones);
+    for (size_t c = 0; c < x.cols(); ++c) {
+      EXPECT_EQ(relu_g.At(0, c), relu_grad[c % edge.size()])
+          << la::simd::IsaName(isa) << " column " << c;
+      EXPECT_EQ(leaky_g.At(0, c), leaky_grad[c % edge.size()])
+          << la::simd::IsaName(isa) << " column " << c;
+    }
+  }
+}
+
+// A tiny slope underflows slope·in to -0.0, which still masks as <= 0.
+TEST(LeakyReluTest, UnderflowKeepsTheNegativeMask) {
+  LeakyRelu leaky(1e-300);
+  la::Matrix x = la::Matrix::FromRows({{-1e-300, 1e-300}});
+  leaky.Forward(x, true);
+  const la::Matrix& g = leaky.Backward(la::Matrix(1, 2, 1.0));
+  EXPECT_EQ(g.At(0, 0), 1e-300);
+  EXPECT_EQ(g.At(0, 1), 1.0);
+}
+
+TEST(LeakyReluDeathTest, RejectsZeroAndInfiniteSlopes) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH({ LeakyRelu zero(0.0); }, "finite and > 0");
+  EXPECT_DEATH({ LeakyRelu infinite(inf); }, "finite and > 0");
+  // GcnLayer's folded LeakyReLU masks on its output the same way.
+  const la::SparseMatrix adj =
+      la::SparseMatrix::NormalizedAdjacency(3, {{0, 1}, {1, 2}});
+  util::Rng rng(1);
+  EXPECT_DEATH(
+      {
+        GcnLayer layer(&adj, 2, 2, rng,
+                       GcnLayerOptions{.activation = GcnActivation::kLeakyRelu,
+                                       .leaky_slope = inf});
+      },
+      "finite and > 0");
 }
 
 // Gradient checks for all smooth/piecewise activations. Inputs are kept

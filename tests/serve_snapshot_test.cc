@@ -9,7 +9,9 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sgan.h"
@@ -112,6 +114,17 @@ TEST(ScoringSnapshotTest, FromPartsRejectsBadShapes) {
       MakeDiscriminator(1), MakeFeatures(1), MakeWalk(), MakeLabels(), 1.5);
   ASSERT_FALSE(bad_alpha.ok());
   EXPECT_EQ(bad_alpha.status().code(), util::StatusCode::kInvalidArgument);
+
+  // A LeakyReLU slope that is not finite and > 0.
+  for (double slope : {0.0, -0.2, std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    core::DiscriminatorSnapshot disc = MakeDiscriminator(1);
+    disc.leaky_slope = slope;
+    auto bad_slope = ScoringSnapshot::FromParts(
+        std::move(disc), MakeFeatures(1), MakeWalk(), MakeLabels());
+    ASSERT_FALSE(bad_slope.ok()) << slope;
+    EXPECT_EQ(bad_slope.status().code(), util::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(ScoringSnapshotTest, ScorerMatchesSganForwardBitwise) {
