@@ -10,6 +10,12 @@
 // its avx2/scalar ratio is the single-thread speedup the SIMD substrate
 // is required to deliver (>= 1.5x).
 //
+// The per-kernel rows below it time one primitive at an SGAN epoch's
+// shape (5742 batch rows x hidden_dim 64, the 162 x 64 layer-1 weight) or
+// k-means' (8k points x 32 dims, k = 24), looping the call so one timed
+// run lasts about a millisecond. They decide which tier's body each
+// kernel runs (DESIGN.md section 10).
+//
 // With GALE_BENCH_JSON_DIR set, per-(workload, isa) medians are also
 // written to $GALE_BENCH_JSON_DIR/BENCH_simd_scaling.json for
 // tools/bench_check.sh; the ISA is folded into the record name
@@ -107,6 +113,26 @@ int main(int argc, char** argv) {
     sgan_labels[r] = r % 4 == 0 ? core::kLabelError : core::kLabelCorrect;
   }
   sgan.Update(sgan_real, sgan_labels, sgan_syn, /*epochs=*/1);  // warm-up
+  // One SGAN batch's activations and the layer-1 weight's Adam state.
+  constexpr size_t kBatchRows = 5742;
+  constexpr size_t kHidden = 64;
+  const la::Matrix act_in =
+      la::Matrix::RandomNormal(kBatchRows, kHidden, 1.0, rng);
+  const la::Matrix act_grad =
+      la::Matrix::RandomNormal(kBatchRows, kHidden, 1.0, rng);
+  la::Matrix act_out(kBatchRows, kHidden);
+  la::Matrix adam_p = la::Matrix::RandomNormal(162, kHidden, 0.1, rng);
+  la::Matrix adam_m(162, kHidden);
+  la::Matrix adam_v(162, kHidden);
+  const la::Matrix adam_g = la::Matrix::RandomNormal(162, kHidden, 0.1, rng);
+  la::Matrix bias_row = la::Matrix::RandomNormal(1, kHidden, 1e-3, rng);
+  la::Matrix col_sum;
+  // k-means' assignment scan: 8k points against three panels of eight
+  // centroids (k = 24).
+  const la::Matrix km_points = la::Matrix::RandomNormal(8000, 32, 1.0, rng);
+  const la::Matrix km_panels =
+      la::Matrix::RandomNormal(3, 32 * la::simd::kDistanceLanes, 1.0, rng);
+  volatile double dist_sink = 0.0;  // keeps the distance calls live
 
   std::vector<Workload> workloads;
   workloads.push_back({"MatMul 256", [&] {
@@ -125,6 +151,52 @@ int main(int argc, char** argv) {
   workloads.push_back({"SganUpdate 512+128 d32", [&] {
                          (void)sgan.Update(sgan_real, sgan_labels, sgan_syn,
                                            /*epochs=*/1);
+                       }});
+  workloads.push_back({"LeakyReluForward 5742x64 x8", [&] {
+                         for (int i = 0; i < 8; ++i) {
+                           la::simd::LeakyReluForward(
+                               act_out.data().data(), act_in.data().data(),
+                               0.2, act_in.size());
+                         }
+                       }});
+  workloads.push_back({"LeakyReluBackward 5742x64 x8", [&] {
+                         for (int i = 0; i < 8; ++i) {
+                           la::simd::LeakyReluBackward(
+                               act_out.data().data(), act_grad.data().data(),
+                               act_in.data().data(), 0.2, act_in.size());
+                         }
+                       }});
+  workloads.push_back({"AdamUpdate 162x64 x64", [&] {
+                         for (int i = 0; i < 64; ++i) {
+                           la::simd::AdamUpdate(
+                               adam_p.data().data(), adam_m.data().data(),
+                               adam_v.data().data(), adam_g.data().data(),
+                               1e-3, 0.9, 0.999, 0.5, 0.25, 1e-8,
+                               adam_p.size());
+                         }
+                       }});
+  workloads.push_back({"DistanceSquared8 8k x 32, k=24", [&] {
+                         double dist[la::simd::kDistanceLanes];
+                         double sink = 0.0;
+                         for (size_t i = 0; i < km_points.rows(); ++i) {
+                           for (size_t p = 0; p < km_panels.rows(); ++p) {
+                             la::simd::DistanceSquared8(
+                                 dist, km_points.RowPtr(i),
+                                 km_panels.RowPtr(p), km_points.cols());
+                             sink += dist[p];
+                           }
+                         }
+                         dist_sink = sink;
+                       }});
+  workloads.push_back({"AddRowBroadcast 5742x64 x4", [&] {
+                         for (int i = 0; i < 4; ++i) {
+                           act_out.AddRowBroadcast(bias_row);
+                         }
+                       }});
+  workloads.push_back({"ColSumInto 5742x64 x4", [&] {
+                         for (int i = 0; i < 4; ++i) {
+                           act_in.ColSumInto(&col_sum);
+                         }
                        }});
 
   const std::vector<la::simd::Isa> isas = la::simd::SupportedIsas();
