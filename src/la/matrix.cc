@@ -61,9 +61,9 @@ void MatMulRowSweep(const double* a_row, const double* b, double* out_row,
 }
 
 // A·B over output rows [r0, r1) in four-row register tiles. a: ? x cols,
-// b: cols x n, out: ? x n. The columns a tier's tiles leave (n % 8 under
-// the 4 x 8 tiles, none on AVX-512) and the ragged rows take the
-// Axpy4/Axpy row sweep, which computes every element with the tile's
+// b: cols x n, out: ? x n. The columns a tier's tiles leave (all of them
+// on the scalar tier, none on the vector tiers) and the ragged rows take
+// the Axpy4/Axpy row sweep, which computes every element with the tile's
 // expression tree.
 __attribute__((noinline)) void MatMulShard(const double* a, const double* b,
                                            double* out, size_t cols, size_t n,
@@ -211,24 +211,24 @@ Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
 
 Matrix& Matrix::operator+=(const Matrix& other) {
   GALE_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  simd::AddAssign(data_.data(), other.data_.data(), data_.size());
+  simd::Add(data_.data(), data_.data(), other.data_.data(), data_.size());
   return *this;
 }
 
 Matrix& Matrix::operator-=(const Matrix& other) {
   GALE_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  simd::SubAssign(data_.data(), other.data_.data(), data_.size());
+  simd::Sub(data_.data(), data_.data(), other.data_.data(), data_.size());
   return *this;
 }
 
 Matrix& Matrix::operator*=(double scalar) {
-  simd::ScaleAssign(data_.data(), scalar, data_.size());
+  simd::Scale(data_.data(), data_.data(), scalar, data_.size());
   return *this;
 }
 
 Matrix& Matrix::ElementwiseMul(const Matrix& other) {
   GALE_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  simd::MulAssign(data_.data(), other.data_.data(), data_.size());
+  simd::Mul(data_.data(), data_.data(), other.data_.data(), data_.size());
   return *this;
 }
 
@@ -384,10 +384,7 @@ void Matrix::ScaleInto(double scalar, Matrix* out) const {
 Matrix& Matrix::AddRowBroadcast(const Matrix& row_vector) {
   GALE_CHECK_EQ(row_vector.rows(), 1u);
   GALE_CHECK_EQ(row_vector.cols(), cols_);
-  const double* b = row_vector.RowPtr(0);
-  for (size_t r = 0; r < rows_; ++r) {
-    simd::AddAssign(RowPtr(r), b, cols_);
-  }
+  simd::AddRowBroadcast(data_.data(), row_vector.RowPtr(0), rows_, cols_);
   return *this;
 }
 
@@ -417,10 +414,7 @@ void Matrix::ColSumInto(Matrix* out, bool accumulate) const {
     out->EnsureShape(1, cols_);
     out->Fill(0.0);
   }
-  double* acc = out->RowPtr(0);
-  for (size_t r = 0; r < rows_; ++r) {
-    simd::AddAssign(acc, RowPtr(r), cols_);
-  }
+  simd::AddColSum(out->RowPtr(0), data_.data(), rows_, cols_);
 }
 
 double Matrix::Sum() const {

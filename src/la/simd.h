@@ -1,67 +1,63 @@
 // Portable SIMD substrate for the dense/sparse hot kernels: double-lane
 // primitives in three tiers, AVX-512 (8 lanes), AVX2 (4 lanes) and the
 // scalar reference, selected once at runtime. This header is the ONE home
-// for vendor intrinsics in the tree (gale_analyze rule `simd-intrinsics`).
+// for vendor intrinsics in the tree (gale_analyze rule `simd-intrinsics`):
+// they appear in the two lane-traits types, avx2::Lanes and avx512::Lanes,
+// and in the hand-written AVX2 gathers, nowhere else.
 //
-// Determinism contract — bitwise identity with the scalar path:
-//  * Every primitive vectorizes across *independent output elements*
-//    (the j/output-column direction), never across a sequential
-//    reduction. Lane l of a vector step computes exactly the expression
-//    the scalar loop computes for element j+l — same operands, same
-//    operation tree — so the result of each element is one fixed IEEE-754
-//    evaluation regardless of lane width. A masked lane (AVX-512 tails)
-//    is computed on zeros and never stored.
-//  * Multiplies and adds stay separate instructions (no _mm*_fmadd_*):
-//    an FMA contracts mul+add into one rounding and would diverge from
-//    the scalar path. For the same reason the whole project compiles with
-//    -ffp-contract=off, so the compiler cannot contract the scalar
-//    reference loops either.
-//  * The one reduction shape, Dot4, mirrors the fixed four-accumulator
-//    split of the scalar kernel: accumulator i sums the k ≡ i (mod 4)
-//    terms and the final combine is (acc0+acc1)+(acc2+acc3). AVX2 maps
-//    the four accumulators onto the four lanes of one register; AVX-512
-//    keeps them in four registers whose lanes are eight output columns.
-//    The summation tree is identical in every tier, and the tail
-//    accumulates into acc0 exactly like the scalar remainder loop.
+// scalar:: holds the hand-written reference kernels: they ARE the
+// semantics every vector tier reproduces bit for bit. Each vector kernel
+// is written once, free of intrinsics, in src/la/simd_kernels.h over a
+// lane-traits type `Lanes`. This header includes that file twice: into
+// avx2::generic after the 4-lane traits under #pragma GCC target("avx2"),
+// and into avx512::generic after the 8-lane traits under
+// target("avx512f"). (A plain template over the traits would be compiled
+// for the baseline ISA, where GCC refuses to inline AVX intrinsics.) Each
+// tier imports its generic namespace; avx2:: adds three bodies by hand
+// (Dot4, whose four accumulators are the four lanes of one register,
+// CsrGatherStrided and SlicedGather), and avx512:: runs those and
+// DistanceSquared8 at four lanes (DESIGN.md §10).
+//
+// Determinism contract — bitwise identity with the scalar path
+// (DESIGN.md §10 has the full argument):
+//  * Every primitive vectorizes across *independent output elements*,
+//    never across a sequential reduction: lane l of a vector step computes
+//    exactly the scalar loop's expression for element j+l, the same
+//    operands in the same operation tree. A masked tail lane is computed
+//    on zeros and never stored.
+//  * No FMA: multiplies and adds stay separate instructions, and the whole
+//    project compiles with -ffp-contract=off so the scalar reference loops
+//    are not contracted either.
+//  * The one reduction shape, Dot4, keeps the scalar kernel's four
+//    accumulators (accumulator i sums the k ≡ i (mod 4) terms, the tail
+//    goes into acc0, the combine is (acc0+acc1)+(acc2+acc3)): Dot4 holds
+//    them in the four lanes of one register, the A·Bᵀ tile in four
+//    registers whose lanes are output columns.
 //  * The register tiles (MatMulTiles4, DotTileRows, DistanceSquared8) and
-//    the AVX-512 grouped line hold a block of outputs in registers across
-//    the whole reduction instead of re-reading each output per step. They
-//    still vectorize only across independent output elements, and each
-//    element's tree is fixed: the A·B tile adds one Axpy4 term per k-group
-//    in ascending k, then the Axpy tail; the A·Bᵀ tile is Dot4's lane
-//    split, tail and combine per element; a grouped line adds one
-//    Axpy/Axpy2/Axpy3/Axpy4 fold per k-group; a distance lane is
-//    RowDistanceSquared's serial chain. So a tile, a row sweep of
-//    Axpy4/Axpy calls, and a Dot4 call give an element the same bits, and
-//    callers send the rows and columns a tier's tiles leave through
-//    Axpy4/Axpy/Dot4 on sub-ranges.
+//    the grouped line hold a block of outputs in registers across the
+//    whole reduction, and each element keeps its tree: one Axpy4 term per
+//    k-group in ascending k, then the Axpy tail (A·B, Aᵀ·B); Dot4's
+//    (A·Bᵀ); one fold per k-group, Axpy4's tree with its last terms
+//    dropped (grouped line); RowDistanceSquared's serial chain (distance
+//    lanes). So the rows and columns a tier's tiles leave go through
+//    Axpy4/Axpy/Dot4 on sub-ranges and get the same bits.
 //  Consequently scalar, AVX2 and AVX-512 results are bitwise equal to
-//  each other and (because the kernels shard over disjoint output rows)
-//  to every GALE_NUM_THREADS setting — pinned by simd_equivalence_test
-//  and la_parallel_equivalence_test over SupportedIsas().
+//  each other and to every GALE_NUM_THREADS setting — pinned by
+//  simd_equivalence_test and la_parallel_equivalence_test over
+//  SupportedIsas().
 //
-// Dispatch rules:
-//  * GALE_SIMD=OFF at configure time compiles the scalar path only (no
-//    <immintrin.h> anywhere in the build).
-//  * With GALE_SIMD=ON (the default) the ISA is resolved once, on first
-//    use: the widest tier __builtin_cpu_supports admits (avx512f, else
-//    avx2, else scalar), narrowed by the GALE_SIMD_ISA environment
-//    variable: `scalar` runs scalar, `avx2` runs AVX2 on an AVX2 or
-//    AVX-512 CPU. A request wider than the CPU runs its widest tier; any
-//    other value keeps the probed default.
-//  * Every primitive follows one rule: its AVX-512 body where one exists
-//    and AVX-512 is active, else its AVX2 body whenever the active ISA is
-//    at least AVX2, else the scalar reference. Only the products the SGAN
-//    epoch spends its time in have AVX-512 bodies.
-//  * Tests pin the path with ScopedIsaOverride; the override is a
-//    relaxed atomic so kernels running on pool threads observe it.
+// Dispatch rule: every primitive runs the widest tier the active ISA
+// allows — avx512::, else avx2::, else scalar::. The ISA is resolved once,
+// on first use: the widest tier __builtin_cpu_supports admits, narrowed by
+// the GALE_SIMD_ISA environment variable (`scalar` or `avx2`; any other
+// value keeps the probed default). GALE_SIMD=OFF at configure time
+// compiles the scalar path only, with no <immintrin.h> in the build. Tests
+// pin the path with ScopedIsaOverride, a relaxed atomic that kernels on
+// pool threads observe.
 //
-// Alignment contract: AlignedVector (the Matrix/Workspace storage) puts
-// every dense buffer on a kArenaAlignment (64-byte) boundary — one cache
-// line, and enough for any double vector ISA up to AVX-512. Kernels
-// still use unaligned loads/stores because a *row* pointer inside a
-// matrix is only 8-byte aligned (row r starts at r*cols doubles); the
-// base alignment buys cache-line-clean buffers, not aligned-op codegen.
+// Alignment: Matrix/Workspace buffers start on kArenaAlignment (64-byte)
+// boundaries, but a row pointer is only 8-byte aligned, so kernels use
+// unaligned loads and stores.
 
 #ifndef GALE_LA_SIMD_H_
 #define GALE_LA_SIMD_H_
@@ -72,6 +68,7 @@
 #include <cstdint>
 // gale-lint: allow(naked-new): the <new> header itself, for align_val_t
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #if defined(GALE_SIMD_ENABLED) && defined(__x86_64__)
@@ -199,12 +196,8 @@ class ScopedIsaOverride {
 };
 
 // ---------------------------------------------------------------------------
-// Scalar reference kernels
+// Scalar reference kernels: each an explicit, fixed evaluation tree
 // ---------------------------------------------------------------------------
-// These ARE the semantics: every vector variant below must be bitwise
-// equal to the scalar function of the same name. Each is written with an
-// explicit, fixed evaluation tree; -ffp-contract=off keeps the compiler
-// from fusing it.
 
 // Lane width of the centroid panel DistanceSquared8 reads: panel[c * 8 + l]
 // is coordinate c of centroid l.
@@ -277,23 +270,16 @@ inline void GroupedAxpyLine(double* out, const double* x, std::size_t n,
   const std::size_t split = internal::GroupedEnd(idx, k, end, aligned);
   while (k < split) {
     const std::size_t terms = internal::GroupTerms(idx, k, split);
-    const double* x0 = x + static_cast<std::size_t>(idx[k]) * n;
     const double* a = vals + k;
-    if (terms == 1) {
-      Axpy(out, x0, a[0], n);
-    } else {
-      const double* x1 = x + static_cast<std::size_t>(idx[k + 1]) * n;
-      if (terms == 2) {
-        Axpy2(out, x0, x1, a[0], a[1], n);
-      } else {
-        const double* x2 = x + static_cast<std::size_t>(idx[k + 2]) * n;
-        if (terms == 3) {
-          Axpy3(out, x0, x1, x2, a[0], a[1], a[2], n);
-        } else {
-          Axpy4(out, x0, x1, x2, x + static_cast<std::size_t>(idx[k + 3]) * n,
-                a[0], a[1], a[2], a[3], n);
-        }
-      }
+    auto row = [&](std::size_t t) {
+      return x + static_cast<std::size_t>(idx[k + t]) * n;
+    };
+    switch (terms) {
+      case 1: Axpy(out, row(0), a[0], n); break;
+      case 2: Axpy2(out, row(0), row(1), a[0], a[1], n); break;
+      case 3: Axpy3(out, row(0), row(1), row(2), a[0], a[1], a[2], n); break;
+      default:
+        Axpy4(out, row(0), row(1), row(2), row(3), a[0], a[1], a[2], a[3], n);
     }
     k += terms;
   }
@@ -337,18 +323,15 @@ inline double Dot4(const double* a, const double* b, std::size_t n) {
   return (acc0 + acc1) + (acc2 + acc3);
 }
 
-inline void Add(double* out, const double* a, const double* b,
-                std::size_t n) {
+inline void Add(double* out, const double* a, const double* b, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) out[j] = a[j] + b[j];
 }
 
-inline void Sub(double* out, const double* a, const double* b,
-                std::size_t n) {
+inline void Sub(double* out, const double* a, const double* b, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) out[j] = a[j] - b[j];
 }
 
-inline void Mul(double* out, const double* a, const double* b,
-                std::size_t n) {
+inline void Mul(double* out, const double* a, const double* b, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) out[j] = a[j] * b[j];
 }
 
@@ -356,20 +339,16 @@ inline void Scale(double* out, const double* a, double s, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) out[j] = a[j] * s;
 }
 
-inline void AddAssign(double* out, const double* x, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) out[j] += x[j];
+// m[r][j] += row[j] for every row r < rows: Matrix::AddRowBroadcast.
+inline void AddRowBroadcast(double* m, const double* row, std::size_t rows,
+                            std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r, m += cols) Add(m, m, row, cols);
 }
 
-inline void SubAssign(double* out, const double* x, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) out[j] -= x[j];
-}
-
-inline void ScaleAssign(double* out, double s, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) out[j] *= s;
-}
-
-inline void MulAssign(double* out, const double* x, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) out[j] *= x[j];
+// acc[j] += m[r][j] for r = 0, 1, ..., rows - 1 in turn: ColSum's chain.
+inline void AddColSum(double* acc, const double* m, std::size_t rows,
+                      std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) Add(acc, acc, m + r * cols, cols);
 }
 
 inline void ReluForward(double* out, const double* in, std::size_t n) {
@@ -436,52 +415,32 @@ inline void AdamUpdate(double* p, double* m, double* v, const double* g,
   }
 }
 
-// out[r][j] += Σ_p a[r][p]·b[p][j] for r < 4, j < 8: the register tile of
-// MatMul. Each element adds one Axpy4 term per k-group, in ascending k,
-// then one Axpy term per leftover p — exactly what a row sweep of
-// Axpy4/Axpy calls computes for it. a, b and out are row-major with
-// leading dimensions lda, ldb, ldo.
-inline void MatMulTile4x8(double* out, std::size_t ldo, const double* a,
-                          std::size_t lda, const double* b, std::size_t ldb,
-                          std::size_t k) {
-  // k outermost, so B is read row by row like the row sweep reads it.
-  double acc[4][8];
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t j = 0; j < 8; ++j) acc[r][j] = out[r * ldo + j];
-  }
-  std::size_t p = 0;
-  for (; p + 4 <= k; p += 4) {
-    const double* b0 = b + p * ldb;
-    for (std::size_t r = 0; r < 4; ++r) {
-      const double* ar = a + r * lda + p;
-      for (std::size_t j = 0; j < 8; ++j) {
-        acc[r][j] += ar[0] * b0[j] + ar[1] * b0[ldb + j] +
-                     ar[2] * b0[2 * ldb + j] + ar[3] * b0[3 * ldb + j];
-      }
-    }
-  }
-  for (; p < k; ++p) {
-    for (std::size_t r = 0; r < 4; ++r) {
-      for (std::size_t j = 0; j < 8; ++j) {
-        acc[r][j] += a[r * lda + p] * b[p * ldb + j];
-      }
-    }
-  }
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t j = 0; j < 8; ++j) out[r * ldo + j] = acc[r][j];
-  }
+// The register tiles' contracts (see the dispatch wrappers): the scalar
+// tier leaves A·B and Aᵀ·B to the caller's Axpy4/Axpy sweeps and computes
+// A·Bᵀ one Dot4 per element.
+inline std::size_t MatMulTiles4(double*, std::size_t, const double*,
+                                std::size_t, const double*, std::size_t,
+                                std::size_t, std::size_t) {
+  return 0;
 }
 
-// out[r][j] = Dot4(a row r, b row j, k) for r < 2, j < 4: the register
-// tile of MatMulTransposed (b holds the rows of Bᵀ's columns).
-inline void DotTile2x4(double* out, std::size_t ldo, const double* a,
-                       std::size_t lda, const double* b, std::size_t ldb,
-                       std::size_t k) {
-  for (std::size_t r = 0; r < 2; ++r) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      out[r * ldo + j] = Dot4(a + r * lda, b + j * ldb, k);
+inline std::size_t TransposedMatMulTiles4(double*, std::size_t, const double*,
+                                          std::size_t, const double*,
+                                          std::size_t, std::size_t,
+                                          std::size_t, std::size_t) {
+  return 0;
+}
+
+inline std::size_t DotTileRows(double* out, std::size_t ldo, const double* a,
+                               std::size_t lda, const double* b,
+                               std::size_t ldb, std::size_t k,
+                               std::size_t rows, std::size_t cols) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      out[i * ldo + j] = Dot4(a + i * lda, b + j * ldb, k);
     }
   }
+  return rows;
 }
 
 // out[l] = Σ_c (x[c] - panel[c·8 + l])², one serial chain per lane in
@@ -504,107 +463,68 @@ inline void DistanceSquared8(double* out, const double* x, const double* panel,
 #if GALE_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// AVX2 (4 double lanes) — per-function target attribute so the rest of
-// the build stays at the baseline ISA (identical scalar codegen whether
-// GALE_SIMD is ON or OFF)
+// AVX2 (4 double lanes). The pragma targets only the functions defined up
+// to pop_options, so scalar codegen is the same with GALE_SIMD ON or OFF.
 // ---------------------------------------------------------------------------
-
-#define GALE_SIMD_AVX2 __attribute__((target("avx2"))) inline
 
 namespace avx2 {
 
-GALE_SIMD_AVX2 void Axpy(double* out, const double* x, double a,
-                         std::size_t n) {
-  const __m256d av = _mm256_set1_pd(a);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d o = _mm256_loadu_pd(out + j);
-    const __m256d t = _mm256_mul_pd(av, _mm256_loadu_pd(x + j));
-    _mm256_storeu_pd(out + j, _mm256_add_pd(o, t));
-  }
-  for (; j < n; ++j) out[j] += a * x[j];
-}
+#pragma GCC push_options
+#pragma GCC target("avx2")
 
-GALE_SIMD_AVX2 void Axpy2(double* out, const double* x0, const double* x1,
-                          double a0, double a1, std::size_t n) {
-  const __m256d a0v = _mm256_set1_pd(a0);
-  const __m256d a1v = _mm256_set1_pd(a1);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d s =
-        _mm256_add_pd(_mm256_mul_pd(a0v, _mm256_loadu_pd(x0 + j)),
-                      _mm256_mul_pd(a1v, _mm256_loadu_pd(x1 + j)));
-    _mm256_storeu_pd(out + j, _mm256_add_pd(_mm256_loadu_pd(out + j), s));
-  }
-  for (; j < n; ++j) out[j] += a0 * x0[j] + a1 * x1[j];
-}
+// A Mask holds all-ones in its live lanes (vmaskmovpd), a Cmp is the lane
+// mask blendv selects on.
+struct Lanes {
+  using V = __m256d;
+  using Mask = __m256i;
+  using Cmp = __m256d;
+  static constexpr std::size_t kWidth = 4;
+  static constexpr std::size_t kRegisters = 16;
 
-GALE_SIMD_AVX2 void Axpy3(double* out, const double* x0, const double* x1,
-                          const double* x2, double a0, double a1, double a2,
-                          std::size_t n) {
-  const __m256d a0v = _mm256_set1_pd(a0);
-  const __m256d a1v = _mm256_set1_pd(a1);
-  const __m256d a2v = _mm256_set1_pd(a2);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256d s = _mm256_add_pd(_mm256_mul_pd(a0v, _mm256_loadu_pd(x0 + j)),
-                              _mm256_mul_pd(a1v, _mm256_loadu_pd(x1 + j)));
-    s = _mm256_add_pd(s, _mm256_mul_pd(a2v, _mm256_loadu_pd(x2 + j)));
-    _mm256_storeu_pd(out + j, _mm256_add_pd(_mm256_loadu_pd(out + j), s));
+  static V Load(const double* p) { return _mm256_loadu_pd(p); }
+  static void Store(double* p, V v) { _mm256_storeu_pd(p, v); }
+  // Lanes [0, r) of a register, r <= kWidth.
+  static Mask FirstLanes(std::size_t r) {
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(r)),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
   }
-  for (; j < n; ++j) out[j] += a0 * x0[j] + a1 * x1[j] + a2 * x2[j];
-}
+  static V MaskLoad(Mask m, const double* p) {
+    return _mm256_maskload_pd(p, m);
+  }
+  static void MaskStore(double* p, Mask m, V v) {
+    _mm256_maskstore_pd(p, m, v);
+  }
+  static V Set1(double a) { return _mm256_set1_pd(a); }
+  static V Zero() { return _mm256_setzero_pd(); }
+  static V Add(V a, V b) { return _mm256_add_pd(a, b); }
+  static V Sub(V a, V b) { return _mm256_sub_pd(a, b); }
+  static V Mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  static V Div(V a, V b) { return _mm256_div_pd(a, b); }
+  static V Sqrt(V a) { return _mm256_sqrt_pd(a); }
+  static V Max(V a, V b) { return _mm256_max_pd(a, b); }
+  static Cmp CmpLe(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
+  // Lane l of t where c is set, else lane l of f.
+  static V Select(Cmp c, V t, V f) { return _mm256_blendv_pd(f, t, c); }
+};
 
-GALE_SIMD_AVX2 void Axpy4(double* out, const double* x0, const double* x1,
-                          const double* x2, const double* x3, double a0,
-                          double a1, double a2, double a3, std::size_t n) {
-  const __m256d a0v = _mm256_set1_pd(a0);
-  const __m256d a1v = _mm256_set1_pd(a1);
-  const __m256d a2v = _mm256_set1_pd(a2);
-  const __m256d a3v = _mm256_set1_pd(a3);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256d s = _mm256_add_pd(_mm256_mul_pd(a0v, _mm256_loadu_pd(x0 + j)),
-                              _mm256_mul_pd(a1v, _mm256_loadu_pd(x1 + j)));
-    s = _mm256_add_pd(s, _mm256_mul_pd(a2v, _mm256_loadu_pd(x2 + j)));
-    s = _mm256_add_pd(s, _mm256_mul_pd(a3v, _mm256_loadu_pd(x3 + j)));
-    _mm256_storeu_pd(out + j, _mm256_add_pd(_mm256_loadu_pd(out + j), s));
-  }
-  for (; j < n; ++j) {
-    out[j] += a0 * x0[j] + a1 * x1[j] + a2 * x2[j] + a3 * x3[j];
-  }
-}
+namespace generic {
+#include "la/simd_kernels.h"
+}  // namespace generic
+using namespace generic;
 
-GALE_SIMD_AVX2 void GroupedAxpyLine(double* out, const double* x,
-                                    std::size_t n, const std::uint32_t* idx,
-                                    const double* vals, std::size_t k,
-                                    std::size_t end, std::size_t aligned) {
-  const std::size_t split = internal::GroupedEnd(idx, k, end, aligned);
-  while (k < split) {
-    const std::size_t terms = internal::GroupTerms(idx, k, split);
-    const double* x0 = x + static_cast<std::size_t>(idx[k]) * n;
-    const double* a = vals + k;
-    if (terms == 1) {
-      Axpy(out, x0, a[0], n);
-    } else {
-      const double* x1 = x + static_cast<std::size_t>(idx[k + 1]) * n;
-      if (terms == 2) {
-        Axpy2(out, x0, x1, a[0], a[1], n);
-      } else {
-        const double* x2 = x + static_cast<std::size_t>(idx[k + 2]) * n;
-        if (terms == 3) {
-          Axpy3(out, x0, x1, x2, a[0], a[1], a[2], n);
-        } else {
-          Axpy4(out, x0, x1, x2, x + static_cast<std::size_t>(idx[k + 3]) * n,
-                a[0], a[1], a[2], a[3], n);
-        }
-      }
-    }
-    k += terms;
+// Lane l accumulates the k ≡ l (mod 4) terms: the scalar kernel's four
+// accumulators are the four lanes of one register.
+inline double Dot4(const double* a, const double* b, std::size_t n) {
+  V acc = Lanes::Zero();
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    acc = Lanes::Add(acc, Lanes::Mul(Lanes::Load(a + k), Lanes::Load(b + k)));
   }
-  for (; k < end; ++k) {
-    Axpy(out, x + static_cast<std::size_t>(idx[k]) * n, vals[k], n);
-  }
+  double lanes[4];
+  Lanes::Store(lanes, acc);
+  double acc0 = lanes[0];
+  for (; k < n; ++k) acc0 += a[k] * b[k];
+  return (acc0 + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
 // The scalar reference's trees with the sums held in registers across a
@@ -615,12 +535,10 @@ GALE_SIMD_AVX2 void GroupedAxpyLine(double* out, const double* x,
 // to SlicedGather instead, which puts four rows in the lanes.) This body
 // serves AVX-512 too: 8-lane chunks measured no faster at width 64
 // (memory-bound), and a masked 8-lane remainder slower at width 2.
-GALE_SIMD_AVX2 void CsrGatherStrided(const std::size_t* ptr,
-                                     const std::uint32_t* idx,
-                                     const double* vals, const double* in,
-                                     std::size_t width, std::size_t stride,
-                                     double* out, std::size_t r0,
-                                     std::size_t r1) {
+inline void CsrGatherStrided(const std::size_t* ptr, const std::uint32_t* idx,
+                             const double* vals, const double* in,
+                             std::size_t width, std::size_t stride,
+                             double* out, std::size_t r0, std::size_t r1) {
   for (std::size_t r = r0; r < r1; ++r) {
     double* out_row = out + r * stride;
     const std::size_t k0 = ptr[r];
@@ -690,14 +608,12 @@ GALE_SIMD_AVX2 void CsrGatherStrided(const std::size_t* ptr,
 // that is never −0.0: the sum is unchanged. The offsets idx·stride are
 // 64-bit products of 32-bit operands (stride < 2^32), so no column id
 // wraps.
-GALE_SIMD_AVX2 void SlicedGather(const std::size_t* chunk_ptr,
-                                 const std::uint32_t* lens,
-                                 const std::uint32_t* rows,
-                                 std::size_t num_rows,
-                                 const std::uint32_t* idx, const double* vals,
-                                 const double* in, std::size_t stride,
-                                 double* out, std::size_t c0,
-                                 std::size_t c1) {
+inline void SlicedGather(const std::size_t* chunk_ptr,
+                         const std::uint32_t* lens, const std::uint32_t* rows,
+                         std::size_t num_rows, const std::uint32_t* idx,
+                         const double* vals, const double* in,
+                         std::size_t stride, double* out, std::size_t c0,
+                         std::size_t c1) {
   const __m256i stride_v = _mm256_set1_epi64x(static_cast<long long>(stride));
   const __m256d zero = _mm256_setzero_pd();
   for (std::size_t c = c0; c < c1; ++c) {
@@ -725,719 +641,96 @@ GALE_SIMD_AVX2 void SlicedGather(const std::size_t* chunk_ptr,
   }
 }
 
-GALE_SIMD_AVX2 double Dot4(const double* a, const double* b, std::size_t n) {
-  // Lane l accumulates the k ≡ l (mod 4) terms — the scalar kernel's four
-  // accumulators mapped onto one register.
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    acc = _mm256_add_pd(
-        acc, _mm256_mul_pd(_mm256_loadu_pd(a + k), _mm256_loadu_pd(b + k)));
-  }
-  double lanes[4];
-  _mm256_storeu_pd(lanes, acc);
-  double acc0 = lanes[0];
-  for (; k < n; ++k) acc0 += a[k] * b[k];
-  return (acc0 + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
-GALE_SIMD_AVX2 void Add(double* out, const double* a, const double* b,
-                        std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(
-        out + j, _mm256_add_pd(_mm256_loadu_pd(a + j), _mm256_loadu_pd(b + j)));
-  }
-  for (; j < n; ++j) out[j] = a[j] + b[j];
-}
-
-GALE_SIMD_AVX2 void Sub(double* out, const double* a, const double* b,
-                        std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(
-        out + j, _mm256_sub_pd(_mm256_loadu_pd(a + j), _mm256_loadu_pd(b + j)));
-  }
-  for (; j < n; ++j) out[j] = a[j] - b[j];
-}
-
-GALE_SIMD_AVX2 void Mul(double* out, const double* a, const double* b,
-                        std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(
-        out + j, _mm256_mul_pd(_mm256_loadu_pd(a + j), _mm256_loadu_pd(b + j)));
-  }
-  for (; j < n; ++j) out[j] = a[j] * b[j];
-}
-
-GALE_SIMD_AVX2 void Scale(double* out, const double* a, double s,
-                          std::size_t n) {
-  const __m256d sv = _mm256_set1_pd(s);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(out + j, _mm256_mul_pd(_mm256_loadu_pd(a + j), sv));
-  }
-  for (; j < n; ++j) out[j] = a[j] * s;
-}
-
-GALE_SIMD_AVX2 void AddAssign(double* out, const double* x, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(out + j, _mm256_add_pd(_mm256_loadu_pd(out + j),
-                                            _mm256_loadu_pd(x + j)));
-  }
-  for (; j < n; ++j) out[j] += x[j];
-}
-
-GALE_SIMD_AVX2 void SubAssign(double* out, const double* x, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(out + j, _mm256_sub_pd(_mm256_loadu_pd(out + j),
-                                            _mm256_loadu_pd(x + j)));
-  }
-  for (; j < n; ++j) out[j] -= x[j];
-}
-
-GALE_SIMD_AVX2 void ScaleAssign(double* out, double s, std::size_t n) {
-  const __m256d sv = _mm256_set1_pd(s);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(out + j, _mm256_mul_pd(_mm256_loadu_pd(out + j), sv));
-  }
-  for (; j < n; ++j) out[j] *= s;
-}
-
-GALE_SIMD_AVX2 void MulAssign(double* out, const double* x, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(out + j, _mm256_mul_pd(_mm256_loadu_pd(out + j),
-                                            _mm256_loadu_pd(x + j)));
-  }
-  for (; j < n; ++j) out[j] *= x[j];
-}
-
-GALE_SIMD_AVX2 void ReluForward(double* out, const double* in,
-                                std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(out + j, _mm256_max_pd(_mm256_loadu_pd(in + j), zero));
-  }
-  for (; j < n; ++j) {
-    const double v = in[j];
-    out[j] = v > 0.0 ? v : 0.0;
-  }
-}
-
-GALE_SIMD_AVX2 void ReluBackward(double* out, const double* grad,
-                                 const double* in, std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d mask =
-        _mm256_cmp_pd(_mm256_loadu_pd(in + j), zero, _CMP_LE_OQ);
-    _mm256_storeu_pd(out + j,
-                     _mm256_andnot_pd(mask, _mm256_loadu_pd(grad + j)));
-  }
-  for (; j < n; ++j) out[j] = in[j] <= 0.0 ? 0.0 : grad[j];
-}
-
-GALE_SIMD_AVX2 void LeakyReluForward(double* out, const double* in,
-                                     double slope, std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d sv = _mm256_set1_pd(slope);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d v = _mm256_loadu_pd(in + j);
-    const __m256d le = _mm256_cmp_pd(v, zero, _CMP_LE_OQ);
-    const __m256d scaled = _mm256_mul_pd(sv, v);
-    _mm256_storeu_pd(out + j, _mm256_blendv_pd(v, scaled, le));
-  }
-  for (; j < n; ++j) {
-    const double v = in[j];
-    out[j] = v > 0.0 ? v : slope * v;
-  }
-}
-
-GALE_SIMD_AVX2 void LeakyReluBackward(double* out, const double* grad,
-                                      const double* in, double slope,
-                                      std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d sv = _mm256_set1_pd(slope);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d g = _mm256_loadu_pd(grad + j);
-    const __m256d le =
-        _mm256_cmp_pd(_mm256_loadu_pd(in + j), zero, _CMP_LE_OQ);
-    const __m256d scaled = _mm256_mul_pd(g, sv);
-    _mm256_storeu_pd(out + j, _mm256_blendv_pd(g, scaled, le));
-  }
-  for (; j < n; ++j) out[j] = in[j] <= 0.0 ? grad[j] * slope : grad[j];
-}
-
-GALE_SIMD_AVX2 void SigmoidBackward(double* out, const double* grad,
-                                    const double* s, std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d sj = _mm256_loadu_pd(s + j);
-    const __m256d t = _mm256_mul_pd(sj, _mm256_sub_pd(one, sj));
-    _mm256_storeu_pd(out + j, _mm256_mul_pd(_mm256_loadu_pd(grad + j), t));
-  }
-  for (; j < n; ++j) out[j] = grad[j] * (s[j] * (1.0 - s[j]));
-}
-
-GALE_SIMD_AVX2 void TanhBackward(double* out, const double* grad,
-                                 const double* t, std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d tj = _mm256_loadu_pd(t + j);
-    const __m256d d = _mm256_sub_pd(one, _mm256_mul_pd(tj, tj));
-    _mm256_storeu_pd(out + j, _mm256_mul_pd(_mm256_loadu_pd(grad + j), d));
-  }
-  for (; j < n; ++j) out[j] = grad[j] * (1.0 - t[j] * t[j]);
-}
-
-GALE_SIMD_AVX2 void AdamUpdate(double* p, double* m, double* v,
-                               const double* g, double lr, double beta1,
-                               double beta2, double bias1, double bias2,
-                               double eps, std::size_t n) {
-  const __m256d b1 = _mm256_set1_pd(beta1);
-  const __m256d b2 = _mm256_set1_pd(beta2);
-  const __m256d omb1 = _mm256_set1_pd(1.0 - beta1);
-  const __m256d omb2 = _mm256_set1_pd(1.0 - beta2);
-  const __m256d bias1v = _mm256_set1_pd(bias1);
-  const __m256d bias2v = _mm256_set1_pd(bias2);
-  const __m256d lrv = _mm256_set1_pd(lr);
-  const __m256d epsv = _mm256_set1_pd(eps);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d grad = _mm256_loadu_pd(g + j);
-    const __m256d mj = _mm256_add_pd(_mm256_mul_pd(b1, _mm256_loadu_pd(m + j)),
-                                     _mm256_mul_pd(omb1, grad));
-    const __m256d vj =
-        _mm256_add_pd(_mm256_mul_pd(b2, _mm256_loadu_pd(v + j)),
-                      _mm256_mul_pd(_mm256_mul_pd(omb2, grad), grad));
-    _mm256_storeu_pd(m + j, mj);
-    _mm256_storeu_pd(v + j, vj);
-    const __m256d m_hat = _mm256_div_pd(mj, bias1v);
-    const __m256d v_hat = _mm256_div_pd(vj, bias2v);
-    const __m256d denom = _mm256_add_pd(_mm256_sqrt_pd(v_hat), epsv);
-    const __m256d step = _mm256_div_pd(_mm256_mul_pd(lrv, m_hat), denom);
-    _mm256_storeu_pd(p + j, _mm256_sub_pd(_mm256_loadu_pd(p + j), step));
-  }
-  if (j < n) {
-    scalar::AdamUpdate(p + j, m + j, v + j, g + j, lr, beta1, beta2, bias1,
-                       bias2, eps, n - j);
-  }
-}
-
-// ((a0*x0 + a1*x1) + a2*x2) + a3*x3 with a broadcast from ar[0..3] — one
-// k-group term of Axpy4, four output columns wide.
-GALE_SIMD_AVX2 __m256d Axpy4Term(const double* ar, __m256d x0, __m256d x1,
-                                 __m256d x2, __m256d x3) {
-  __m256d s = _mm256_add_pd(_mm256_mul_pd(_mm256_broadcast_sd(ar), x0),
-                            _mm256_mul_pd(_mm256_broadcast_sd(ar + 1), x1));
-  s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_broadcast_sd(ar + 2), x2));
-  return _mm256_add_pd(s, _mm256_mul_pd(_mm256_broadcast_sd(ar + 3), x3));
-}
-
-GALE_SIMD_AVX2 void MatMulTile4x8(double* out, std::size_t ldo,
-                                  const double* a, std::size_t lda,
-                                  const double* b, std::size_t ldb,
-                                  std::size_t k) {
-  // c[r][h]: row r, columns 4h..4h+3 — the 32 outputs stay in registers
-  // for the whole k loop instead of being re-read per k-group.
-  __m256d c[4][2];
-  for (std::size_t r = 0; r < 4; ++r) {
-    c[r][0] = _mm256_loadu_pd(out + r * ldo);
-    c[r][1] = _mm256_loadu_pd(out + r * ldo + 4);
-  }
-  std::size_t p = 0;
-  for (; p + 4 <= k; p += 4) {
-    const double* b0 = b + p * ldb;
-    for (std::size_t h = 0; h < 2; ++h) {
-      const __m256d x0 = _mm256_loadu_pd(b0 + 4 * h);
-      const __m256d x1 = _mm256_loadu_pd(b0 + ldb + 4 * h);
-      const __m256d x2 = _mm256_loadu_pd(b0 + 2 * ldb + 4 * h);
-      const __m256d x3 = _mm256_loadu_pd(b0 + 3 * ldb + 4 * h);
-      for (std::size_t r = 0; r < 4; ++r) {
-        c[r][h] = _mm256_add_pd(c[r][h],
-                                Axpy4Term(a + r * lda + p, x0, x1, x2, x3));
-      }
-    }
-  }
-  for (; p < k; ++p) {
-    const __m256d x0 = _mm256_loadu_pd(b + p * ldb);
-    const __m256d x1 = _mm256_loadu_pd(b + p * ldb + 4);
-    for (std::size_t r = 0; r < 4; ++r) {
-      const __m256d av = _mm256_broadcast_sd(a + r * lda + p);
-      c[r][0] = _mm256_add_pd(c[r][0], _mm256_mul_pd(av, x0));
-      c[r][1] = _mm256_add_pd(c[r][1], _mm256_mul_pd(av, x1));
-    }
-  }
-  for (std::size_t r = 0; r < 4; ++r) {
-    _mm256_storeu_pd(out + r * ldo, c[r][0]);
-    _mm256_storeu_pd(out + r * ldo + 4, c[r][1]);
-  }
-}
-
-GALE_SIMD_AVX2 void DotTile2x4(double* out, std::size_t ldo, const double* a,
-                               std::size_t lda, const double* b,
-                               std::size_t ldb, std::size_t k) {
-  // acc[r][j] is Dot4's register for the pair (a row r, b row j): lane l
-  // sums the p ≡ l (mod 4) terms.
-  __m256d acc[2][4];
-  for (std::size_t r = 0; r < 2; ++r) {
-    for (std::size_t j = 0; j < 4; ++j) acc[r][j] = _mm256_setzero_pd();
-  }
-  std::size_t p = 0;
-  for (; p + 4 <= k; p += 4) {
-    const __m256d a0 = _mm256_loadu_pd(a + p);
-    const __m256d a1 = _mm256_loadu_pd(a + lda + p);
-    for (std::size_t j = 0; j < 4; ++j) {
-      const __m256d bj = _mm256_loadu_pd(b + j * ldb + p);
-      acc[0][j] = _mm256_add_pd(acc[0][j], _mm256_mul_pd(a0, bj));
-      acc[1][j] = _mm256_add_pd(acc[1][j], _mm256_mul_pd(a1, bj));
-    }
-  }
-  for (std::size_t r = 0; r < 2; ++r) {
-    // Transpose so lane j of lane_l holds accumulator l of pair j; then
-    // the tail into acc0 and the (acc0+acc1)+(acc2+acc3) combine run for
-    // all four pairs at once, in Dot4's order.
-    const __m256d t0 = _mm256_unpacklo_pd(acc[r][0], acc[r][1]);
-    const __m256d t1 = _mm256_unpackhi_pd(acc[r][0], acc[r][1]);
-    const __m256d t2 = _mm256_unpacklo_pd(acc[r][2], acc[r][3]);
-    const __m256d t3 = _mm256_unpackhi_pd(acc[r][2], acc[r][3]);
-    __m256d lane0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-    const __m256d lane1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-    const __m256d lane2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-    const __m256d lane3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-    const double* ar = a + r * lda;
-    for (std::size_t q = p; q < k; ++q) {
-      const __m256d bq = _mm256_set_pd(b[3 * ldb + q], b[2 * ldb + q],
-                                       b[ldb + q], b[q]);
-      lane0 = _mm256_add_pd(lane0,
-                            _mm256_mul_pd(_mm256_broadcast_sd(ar + q), bq));
-    }
-    _mm256_storeu_pd(out + r * ldo,
-                     _mm256_add_pd(_mm256_add_pd(lane0, lane1),
-                                   _mm256_add_pd(lane2, lane3)));
-  }
-}
-
-GALE_SIMD_AVX2 void DistanceSquared8(double* out, const double* x,
-                                     const double* panel, std::size_t d) {
-  // Lane l of {acc_lo, acc_hi} is centroid l's serial chain.
-  __m256d acc_lo = _mm256_setzero_pd();
-  __m256d acc_hi = _mm256_setzero_pd();
-  for (std::size_t c = 0; c < d; ++c) {
-    const __m256d xc = _mm256_broadcast_sd(x + c);
-    const double* pc = panel + c * kDistanceLanes;
-    const __m256d d_lo = _mm256_sub_pd(xc, _mm256_loadu_pd(pc));
-    const __m256d d_hi = _mm256_sub_pd(xc, _mm256_loadu_pd(pc + 4));
-    acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(d_lo, d_lo));
-    acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(d_hi, d_hi));
-  }
-  _mm256_storeu_pd(out, acc_lo);
-  _mm256_storeu_pd(out + 4, acc_hi);
-}
+#pragma GCC pop_options
 
 }  // namespace avx2
 
-#undef GALE_SIMD_AVX2
-
 // ---------------------------------------------------------------------------
-// AVX-512 (8 double lanes) — bodies only for the products the SGAN epoch
-// spends its time in; every other primitive runs its AVX2 body on an
-// AVX-512 CPU. Tails run as one masked 8-lane step: the masked lanes load
-// zeros and are never stored.
+// AVX-512 (8 double lanes): the same kernels at twice the width, plus the
+// 4-lane bodies above.
 // ---------------------------------------------------------------------------
-
-#define GALE_SIMD_AVX512 __attribute__((target("avx512f"))) inline
 
 namespace avx512 {
 
-// Lanes [0, r) of an 8-lane register, r <= 8.
-GALE_SIMD_AVX512 __mmask8 Lanes(std::size_t r) {
-  return static_cast<__mmask8>((1u << r) - 1u);
-}
+#pragma GCC push_options
+#pragma GCC target("avx512f")
 
-// a[0]·x[0][j..] + a[1]·x[1][j..] + ... over T terms, folded left to right
-// (Axpy4's tree with its last terms dropped), on the lanes in m.
-template <std::size_t T>
-GALE_SIMD_AVX512 __m512d FoldTerms(const __m512d* a, const double* const* x,
-                                   std::size_t j, __mmask8 m) {
-  __m512d s = _mm512_mul_pd(a[0], _mm512_maskz_loadu_pd(m, x[0] + j));
-#pragma GCC unroll 4
-  for (std::size_t t = 1; t < T; ++t) {
-    s = _mm512_add_pd(
-        s, _mm512_mul_pd(a[t], _mm512_maskz_loadu_pd(m, x[t] + j)));
-  }
-  return s;
-}
+// Masks and compare results are both opmask registers; the members mean
+// what avx2::Lanes's do.
+struct Lanes {
+  using V = __m512d;
+  using Mask = __mmask8;
+  using Cmp = __mmask8;
+  static constexpr std::size_t kWidth = 8;
+  static constexpr std::size_t kRegisters = 32;
 
-// out[0, n) += the T-term fold: Axpy (T = 1) through Axpy4 (T = 4).
-template <std::size_t T>
-GALE_SIMD_AVX512 void AxpyTerms(double* out, const double* const* x,
-                                const double* a, std::size_t n) {
-  __m512d av[T];
-#pragma GCC unroll 4
-  for (std::size_t t = 0; t < T; ++t) av[t] = _mm512_set1_pd(a[t]);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512d s = FoldTerms<T>(av, x, j, 0xFF);
-    _mm512_storeu_pd(out + j, _mm512_add_pd(_mm512_loadu_pd(out + j), s));
+  static V Load(const double* p) { return _mm512_loadu_pd(p); }
+  static void Store(double* p, V v) { _mm512_storeu_pd(p, v); }
+  static Mask FirstLanes(std::size_t r) {
+    return static_cast<Mask>((1u << r) - 1u);
   }
-  if (j < n) {
-    const __mmask8 m = Lanes(n - j);
-    const __m512d s = FoldTerms<T>(av, x, j, m);
-    _mm512_mask_storeu_pd(
-        out + j, m, _mm512_add_pd(_mm512_maskz_loadu_pd(m, out + j), s));
+  static V MaskLoad(Mask m, const double* p) {
+    return _mm512_maskz_loadu_pd(m, p);
   }
-}
+  static void MaskStore(double* p, Mask m, V v) {
+    _mm512_mask_storeu_pd(p, m, v);
+  }
+  static V Set1(double a) { return _mm512_set1_pd(a); }
+  static V Zero() { return _mm512_setzero_pd(); }
+  static V Add(V a, V b) { return _mm512_add_pd(a, b); }
+  static V Sub(V a, V b) { return _mm512_sub_pd(a, b); }
+  static V Mul(V a, V b) { return _mm512_mul_pd(a, b); }
+  static V Div(V a, V b) { return _mm512_div_pd(a, b); }
+  // All-lanes zero-masked forms: the plain intrinsics read an undefined
+  // register, which GCC 12 reports as maybe-uninitialized.
+  static V Sqrt(V a) { return _mm512_maskz_sqrt_pd(0xFF, a); }
+  static V Max(V a, V b) { return _mm512_maskz_max_pd(0xFF, a, b); }
+  static Cmp CmpLe(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ); }
+  static V Select(Cmp c, V t, V f) { return _mm512_mask_blend_pd(c, f, t); }
+};
 
-GALE_SIMD_AVX512 void Axpy(double* out, const double* x, double a,
-                           std::size_t n) {
-  AxpyTerms<1>(out, &x, &a, n);
-}
+namespace generic {
+#include "la/simd_kernels.h"
+}  // namespace generic
 
-GALE_SIMD_AVX512 void Axpy4(double* out, const double* x0, const double* x1,
-                            const double* x2, const double* x3, double a0,
-                            double a1, double a2, double a3, std::size_t n) {
-  const double* x[4] = {x0, x1, x2, x3};
-  const double a[4] = {a0, a1, a2, a3};
-  AxpyTerms<4>(out, x, a, n);
-}
+#pragma GCC pop_options
 
-// acc[0, B) += the T-term fold of the x rows idx[0, T) with weights
-// vals[0, T): one k-group (or ragged term) of a register-resident line.
-template <std::size_t B, std::size_t T>
-GALE_SIMD_AVX512 void AddFold(__m512d* acc, const double* x,
-                              const std::uint32_t* idx, const double* vals) {
-  const double* xs[T];
-  __m512d av[T];
-#pragma GCC unroll 4
-  for (std::size_t t = 0; t < T; ++t) {
-    xs[t] = x + static_cast<std::size_t>(idx[t]) * (8 * B);
-    av[t] = _mm512_set1_pd(vals[t]);
-  }
-#pragma GCC unroll 8
-  for (std::size_t b = 0; b < B; ++b) {
-    acc[b] = _mm512_add_pd(acc[b], FoldTerms<T>(av, xs, 8 * b, 0xFF));
-  }
-}
-
-// The grouped line of width 8·B held in B registers across all its
-// k-groups and ragged terms: each group's fold is added once, as Axpy,
-// Axpy2, Axpy3 or Axpy4 on its term count would add it.
-template <std::size_t B>
-GALE_SIMD_AVX512 void GroupedAxpyLineRegs(double* out, const double* x,
-                                          const std::uint32_t* idx,
-                                          const double* vals, std::size_t k,
-                                          std::size_t split, std::size_t end) {
-  __m512d acc[B];
-#pragma GCC unroll 8
-  for (std::size_t b = 0; b < B; ++b) acc[b] = _mm512_loadu_pd(out + 8 * b);
-  while (k < split) {
-    const std::size_t terms = internal::GroupTerms(idx, k, split);
-    if (terms == 4) {
-      AddFold<B, 4>(acc, x, idx + k, vals + k);
-    } else if (terms == 3) {
-      AddFold<B, 3>(acc, x, idx + k, vals + k);
-    } else if (terms == 2) {
-      AddFold<B, 2>(acc, x, idx + k, vals + k);
-    } else {
-      AddFold<B, 1>(acc, x, idx + k, vals + k);
-    }
-    k += terms;
-  }
-  for (; k < end; ++k) AddFold<B, 1>(acc, x, idx + k, vals + k);
-#pragma GCC unroll 8
-  for (std::size_t b = 0; b < B; ++b) _mm512_storeu_pd(out + 8 * b, acc[b]);
-}
-
-// Lines of n ≤ 64 columns, n % 8 == 0 (D's layer 1: n = hidden_dim) stay
-// in registers; any other width runs the AVX2 body.
-GALE_SIMD_AVX512 void GroupedAxpyLine(double* out, const double* x,
-                                      std::size_t n, const std::uint32_t* idx,
-                                      const double* vals, std::size_t k,
-                                      std::size_t end, std::size_t aligned) {
-  if (n % 8 != 0 || n == 0 || n > 64) {
-    avx2::GroupedAxpyLine(out, x, n, idx, vals, k, end, aligned);
-    return;
-  }
-  const std::size_t split = internal::GroupedEnd(idx, k, end, aligned);
-  switch (n / 8) {
-    case 1: return GroupedAxpyLineRegs<1>(out, x, idx, vals, k, split, end);
-    case 2: return GroupedAxpyLineRegs<2>(out, x, idx, vals, k, split, end);
-    case 3: return GroupedAxpyLineRegs<3>(out, x, idx, vals, k, split, end);
-    case 4: return GroupedAxpyLineRegs<4>(out, x, idx, vals, k, split, end);
-    case 5: return GroupedAxpyLineRegs<5>(out, x, idx, vals, k, split, end);
-    case 6: return GroupedAxpyLineRegs<6>(out, x, idx, vals, k, split, end);
-    case 7: return GroupedAxpyLineRegs<7>(out, x, idx, vals, k, split, end);
-    default: return GroupedAxpyLineRegs<8>(out, x, idx, vals, k, split, end);
-  }
-}
-
-// Four output rows by 8·B columns of A·B held in registers for the whole
-// k loop; the last block's lanes are m (all eight unless kMasked). A's
-// entry for output row r and reduction index p is a[r·ars + p·aps], so
-// the tile serves A·B (ars = lda, aps = 1) and Aᵀ·B (ars = 1, aps = lda).
-// Per k-group each row's four broadcasts serve every block, and each
-// element adds Axpy4's term, then Axpy's per leftover p.
-template <std::size_t B, bool kMasked>
-GALE_SIMD_AVX512 void MatMulTile4(double* out, std::size_t ldo,
-                                  const double* a, std::size_t ars,
-                                  std::size_t aps, const double* b,
-                                  std::size_t ldb, std::size_t k, __mmask8 m) {
-  const __mmask8 last = kMasked ? m : static_cast<__mmask8>(0xFF);
-  __m512d c[4][B];
-#pragma GCC unroll 4
-  for (std::size_t r = 0; r < 4; ++r) {
-#pragma GCC unroll 4
-    for (std::size_t h = 0; h < B; ++h) {
-      c[r][h] = _mm512_maskz_loadu_pd(h + 1 == B ? last : 0xFF,
-                                      out + r * ldo + 8 * h);
-    }
-  }
-  std::size_t p = 0;
-  for (; p + 4 <= k; p += 4) {
-    __m512d x[4][B];
-#pragma GCC unroll 4
-    for (std::size_t t = 0; t < 4; ++t) {
-#pragma GCC unroll 4
-      for (std::size_t h = 0; h < B; ++h) {
-        x[t][h] = _mm512_maskz_loadu_pd(h + 1 == B ? last : 0xFF,
-                                        b + (p + t) * ldb + 8 * h);
-      }
-    }
-#pragma GCC unroll 4
-    for (std::size_t r = 0; r < 4; ++r) {
-      const double* ar = a + r * ars + p * aps;
-      const __m512d a0 = _mm512_set1_pd(ar[0]);
-      const __m512d a1 = _mm512_set1_pd(ar[aps]);
-      const __m512d a2 = _mm512_set1_pd(ar[2 * aps]);
-      const __m512d a3 = _mm512_set1_pd(ar[3 * aps]);
-#pragma GCC unroll 4
-      for (std::size_t h = 0; h < B; ++h) {
-        __m512d s = _mm512_add_pd(_mm512_mul_pd(a0, x[0][h]),
-                                  _mm512_mul_pd(a1, x[1][h]));
-        s = _mm512_add_pd(s, _mm512_mul_pd(a2, x[2][h]));
-        s = _mm512_add_pd(s, _mm512_mul_pd(a3, x[3][h]));
-        c[r][h] = _mm512_add_pd(c[r][h], s);
-      }
-    }
-  }
-  for (; p < k; ++p) {
-    __m512d x[B];
-#pragma GCC unroll 4
-    for (std::size_t h = 0; h < B; ++h) {
-      x[h] = _mm512_maskz_loadu_pd(h + 1 == B ? last : 0xFF,
-                                   b + p * ldb + 8 * h);
-    }
-#pragma GCC unroll 4
-    for (std::size_t r = 0; r < 4; ++r) {
-      const __m512d av = _mm512_set1_pd(a[r * ars + p * aps]);
-#pragma GCC unroll 4
-      for (std::size_t h = 0; h < B; ++h) {
-        c[r][h] = _mm512_add_pd(c[r][h], _mm512_mul_pd(av, x[h]));
-      }
-    }
-  }
-#pragma GCC unroll 4
-  for (std::size_t r = 0; r < 4; ++r) {
-#pragma GCC unroll 4
-    for (std::size_t h = 0; h < B; ++h) {
-      _mm512_mask_storeu_pd(out + r * ldo + 8 * h, h + 1 == B ? last : 0xFF,
-                            c[r][h]);
-    }
-  }
-}
-
-// Every column of four output rows (A's entries strided as in
-// MatMulTile4): 16-column tiles, then one 8- or masked 9-15-column tile,
-// or one masked tile under eight columns (layer 3's n = 3).
-GALE_SIMD_AVX512 void Tiles4(double* out, std::size_t ldo, const double* a,
-                             std::size_t ars, std::size_t aps, const double* b,
-                             std::size_t ldb, std::size_t k, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    MatMulTile4<2, false>(out + j, ldo, a, ars, aps, b + j, ldb, k, 0xFF);
-  }
-  const std::size_t rem = n - j;
-  if (rem > 8) {
-    MatMulTile4<2, true>(out + j, ldo, a, ars, aps, b + j, ldb, k,
-                         Lanes(rem - 8));
-  } else if (rem == 8) {
-    MatMulTile4<1, false>(out + j, ldo, a, ars, aps, b + j, ldb, k, 0xFF);
-  } else if (rem > 0) {
-    MatMulTile4<1, true>(out + j, ldo, a, ars, aps, b + j, ldb, k, Lanes(rem));
-  }
-}
-
-// Every column of the four rows, so no row sweep is left.
-GALE_SIMD_AVX512 std::size_t MatMulTiles4(double* out, std::size_t ldo,
-                                          const double* a, std::size_t lda,
-                                          const double* b, std::size_t ldb,
-                                          std::size_t k, std::size_t n) {
-  Tiles4(out, ldo, a, lda, 1, b, ldb, k, n);
-  return n;
-}
-
-// Reduction rows per pass of TransposedMatMulTiles4: a multiple of 4, so
-// no k-group straddles two passes, and few enough that a pass's rows of A
-// and B stay cached while every output tile reads them.
-inline constexpr std::size_t kTransposedPassRows = 128;
-
-// All output rows but rows % 4, in four-row tiles over every column, one
-// pass per kTransposedPassRows reduction rows. Each pass adds onto what
-// the previous pass stored, so an element still adds its k-groups in
-// ascending order and then its leftover rows, which all fall in the last
-// pass.
-GALE_SIMD_AVX512 std::size_t TransposedMatMulTiles4(
-    double* out, std::size_t ldo, const double* a, std::size_t lda,
-    const double* b, std::size_t ldb, std::size_t k, std::size_t n,
-    std::size_t rows) {
-  const std::size_t tiled = rows - rows % 4;
-  for (std::size_t p0 = 0; p0 < k; p0 += kTransposedPassRows) {
-    const std::size_t depth =
-        k - p0 < kTransposedPassRows ? k - p0 : kTransposedPassRows;
-    for (std::size_t i = 0; i < tiled; i += 4) {
-      Tiles4(out + i * ldo, ldo, a + p0 * lda + i, 1, lda, b + p0 * ldb, ldb,
-             depth, n);
-    }
-  }
-  return tiled;
-}
-
-// Depth limit of the transposed B panel DotTileRows keeps on the stack.
-inline constexpr std::size_t kDotPanelDepth = 256;
-// Rows of A per pass over the panels, so they stay in L1 across them.
-inline constexpr std::size_t kDotRowBlock = 64;
-
-// out[r][l] = Dot4(a row r, b row l) for r < R and the lanes l in m, with
-// b transposed into panel[p·8 + l]: register (r, i) holds Dot4's
-// accumulator i of row r for eight columns at once, so the lane split,
-// the tail into accumulator 0 and the (0+1)+(2+3) combine are Dot4's.
-template <std::size_t R>
-GALE_SIMD_AVX512 void DotPanelTile(double* out, std::size_t ldo,
-                                   const double* a, std::size_t lda,
-                                   const double* panel, std::size_t k,
-                                   __mmask8 m) {
-  __m512d acc[R][4];
-#pragma GCC unroll 4
-  for (std::size_t r = 0; r < R; ++r) {
-#pragma GCC unroll 4
-    for (std::size_t i = 0; i < 4; ++i) acc[r][i] = _mm512_setzero_pd();
-  }
-  std::size_t p = 0;
-  for (; p + 4 <= k; p += 4) {
-    __m512d bp[4];
-#pragma GCC unroll 4
-    for (std::size_t i = 0; i < 4; ++i) {
-      bp[i] = _mm512_load_pd(panel + (p + i) * 8);
-    }
-#pragma GCC unroll 4
-    for (std::size_t r = 0; r < R; ++r) {
-#pragma GCC unroll 4
-      for (std::size_t i = 0; i < 4; ++i) {
-        acc[r][i] = _mm512_add_pd(
-            acc[r][i],
-            _mm512_mul_pd(_mm512_set1_pd(a[r * lda + p + i]), bp[i]));
-      }
-    }
-  }
-  for (; p < k; ++p) {
-    const __m512d bp = _mm512_load_pd(panel + p * 8);
-#pragma GCC unroll 4
-    for (std::size_t r = 0; r < R; ++r) {
-      acc[r][0] = _mm512_add_pd(
-          acc[r][0], _mm512_mul_pd(_mm512_set1_pd(a[r * lda + p]), bp));
-    }
-  }
-#pragma GCC unroll 4
-  for (std::size_t r = 0; r < R; ++r) {
-    _mm512_mask_storeu_pd(
-        out + r * ldo, m,
-        _mm512_add_pd(_mm512_add_pd(acc[r][0], acc[r][1]),
-                      _mm512_add_pd(acc[r][2], acc[r][3])));
-  }
-}
-
-// Every row: for each block of 64 rows and each eight columns, the
-// columns' b rows are transposed into a stack panel and the rows run in
-// 4 x 8 tiles (then 1 x 8). k must be at most kDotPanelDepth.
-GALE_SIMD_AVX512 std::size_t DotTileRows(double* out, std::size_t ldo,
-                                         const double* a, std::size_t lda,
-                                         const double* b, std::size_t ldb,
-                                         std::size_t k, std::size_t rows,
-                                         std::size_t cols) {
-  alignas(64) double panel[kDotPanelDepth * 8];
-  for (std::size_t i0 = 0; i0 < rows; i0 += kDotRowBlock) {
-    const std::size_t i1 = rows - i0 < kDotRowBlock ? rows : i0 + kDotRowBlock;
-    for (std::size_t j0 = 0; j0 < cols; j0 += 8) {
-      const std::size_t w = cols - j0 < 8 ? cols - j0 : 8;
-      for (std::size_t l = 0; l < w; ++l) {
-        const double* bl = b + (j0 + l) * ldb;
-        for (std::size_t p = 0; p < k; ++p) panel[p * 8 + l] = bl[p];
-      }
-      for (std::size_t l = w; l < 8; ++l) {
-        for (std::size_t p = 0; p < k; ++p) panel[p * 8 + l] = 0.0;
-      }
-      const __mmask8 m = Lanes(w);
-      std::size_t i = i0;
-      for (; i + 4 <= i1; i += 4) {
-        DotPanelTile<4>(out + i * ldo + j0, ldo, a + i * lda, lda, panel, k, m);
-      }
-      for (; i < i1; ++i) {
-        DotPanelTile<1>(out + i * ldo + j0, ldo, a + i * lda, lda, panel, k, m);
-      }
-    }
-  }
-  return rows;
-}
+// Every generic kernel but the ones this tier runs at four lanes
+// (DESIGN.md §10): a using-declaration hides the generic body of its name.
+using namespace generic;
+using avx2::CsrGatherStrided;
+using avx2::DistanceSquared8;
+using avx2::Dot4;
 
 }  // namespace avx512
-
-#undef GALE_SIMD_AVX512
 
 #endif  // GALE_SIMD_X86
 
 // ---------------------------------------------------------------------------
 // Dispatch wrappers — what the kernels call
 // ---------------------------------------------------------------------------
-// Each wrapper costs one relaxed load + branch per row sweep, which is
-// noise next to the sweep itself (n is a feature/column count). The
-// GALE_SIMD=OFF build compiles straight to the scalar call.
+// Each costs one relaxed load and a branch or two per call, noise next to
+// the sweep; the GALE_SIMD=OFF build calls the scalar tier directly.
 
 #if GALE_SIMD_X86
-// A primitive without an AVX-512 body.
-#define GALE_SIMD_DISPATCH(call)                    \
-  if (ActiveIsa() >= Isa::kAvx2) return avx2::call; \
-  return scalar::call;
-// A primitive with an AVX-512 body.
-#define GALE_SIMD_DISPATCH512(call)             \
+#define GALE_SIMD_DISPATCH(call)                \
   const Isa isa = ActiveIsa();                  \
   if (isa == Isa::kAvx512) return avx512::call; \
   if (isa == Isa::kAvx2) return avx2::call;     \
   return scalar::call;
 #else
 #define GALE_SIMD_DISPATCH(call) return scalar::call;
-#define GALE_SIMD_DISPATCH512(call) return scalar::call;
 #endif
 
 inline void Axpy(double* out, const double* x, double a, std::size_t n) {
-  GALE_SIMD_DISPATCH512(Axpy(out, x, a, n))
+  GALE_SIMD_DISPATCH(Axpy(out, x, a, n))
 }
 
 inline void GroupedAxpyLine(double* out, const double* x, std::size_t n,
                             const std::uint32_t* idx, const double* vals,
                             std::size_t k, std::size_t end,
                             std::size_t aligned) {
-  GALE_SIMD_DISPATCH512(GroupedAxpyLine(out, x, n, idx, vals, k, end, aligned))
+  GALE_SIMD_DISPATCH(GroupedAxpyLine(out, x, n, idx, vals, k, end, aligned))
 }
 
 inline void CsrGatherStrided(const std::size_t* ptr, const std::uint32_t* idx,
@@ -1448,27 +741,16 @@ inline void CsrGatherStrided(const std::size_t* ptr, const std::uint32_t* idx,
       CsrGatherStrided(ptr, idx, vals, in, width, stride, out, r0, r1))
 }
 
-// The sliced gather is AVX2's width-1 product (AVX-512 runs it too) and
-// has no scalar twin: the scalar tier's width-1 product is
-// CsrGatherStrided over the CSR rows, the reference the sliced kernel is
-// checked against. Callers run SlicedGather only while
-// SlicedGatherActive().
-#if GALE_SIMD_X86
+// The sliced gather is the vector tiers' width-1 product and has no scalar
+// twin: the scalar tier's width-1 product is CsrGatherStrided over the CSR
+// rows, the reference the sliced kernel is checked against. Callers run
+// SlicedGather only while SlicedGatherActive(), never in a GALE_SIMD=OFF
+// build.
 inline bool SlicedGatherActive() { return ActiveIsa() >= Isa::kAvx2; }
 
-inline void SlicedGather(const std::size_t* chunk_ptr,
-                         const std::uint32_t* lens, const std::uint32_t* rows,
-                         std::size_t num_rows, const std::uint32_t* idx,
-                         const double* vals, const double* in,
-                         std::size_t stride, double* out, std::size_t c0,
-                         std::size_t c1) {
-  avx2::SlicedGather(chunk_ptr, lens, rows, num_rows, idx, vals, in, stride,
-                     out, c0, c1);
-}
+#if GALE_SIMD_X86
+using avx2::SlicedGather;
 #else
-inline bool SlicedGatherActive() { return false; }
-
-// Never reached: SlicedGatherActive() is false in this build.
 inline void SlicedGather(const std::size_t*, const std::uint32_t*,
                          const std::uint32_t*, std::size_t,
                          const std::uint32_t*, const double*, const double*,
@@ -1478,25 +760,22 @@ inline void SlicedGather(const std::size_t*, const std::uint32_t*,
 inline void Axpy4(double* out, const double* x0, const double* x1,
                   const double* x2, const double* x3, double a0, double a1,
                   double a2, double a3, std::size_t n) {
-  GALE_SIMD_DISPATCH512(Axpy4(out, x0, x1, x2, x3, a0, a1, a2, a3, n))
+  GALE_SIMD_DISPATCH(Axpy4(out, x0, x1, x2, x3, a0, a1, a2, a3, n))
 }
 
 inline double Dot4(const double* a, const double* b, std::size_t n) {
   GALE_SIMD_DISPATCH(Dot4(a, b, n))
 }
 
-inline void Add(double* out, const double* a, const double* b,
-                std::size_t n) {
+inline void Add(double* out, const double* a, const double* b, std::size_t n) {
   GALE_SIMD_DISPATCH(Add(out, a, b, n))
 }
 
-inline void Sub(double* out, const double* a, const double* b,
-                std::size_t n) {
+inline void Sub(double* out, const double* a, const double* b, std::size_t n) {
   GALE_SIMD_DISPATCH(Sub(out, a, b, n))
 }
 
-inline void Mul(double* out, const double* a, const double* b,
-                std::size_t n) {
+inline void Mul(double* out, const double* a, const double* b, std::size_t n) {
   GALE_SIMD_DISPATCH(Mul(out, a, b, n))
 }
 
@@ -1504,20 +783,14 @@ inline void Scale(double* out, const double* a, double s, std::size_t n) {
   GALE_SIMD_DISPATCH(Scale(out, a, s, n))
 }
 
-inline void AddAssign(double* out, const double* x, std::size_t n) {
-  GALE_SIMD_DISPATCH(AddAssign(out, x, n))
+inline void AddRowBroadcast(double* m, const double* row, std::size_t rows,
+                            std::size_t cols) {
+  GALE_SIMD_DISPATCH(AddRowBroadcast(m, row, rows, cols))
 }
 
-inline void SubAssign(double* out, const double* x, std::size_t n) {
-  GALE_SIMD_DISPATCH(SubAssign(out, x, n))
-}
-
-inline void ScaleAssign(double* out, double s, std::size_t n) {
-  GALE_SIMD_DISPATCH(ScaleAssign(out, s, n))
-}
-
-inline void MulAssign(double* out, const double* x, std::size_t n) {
-  GALE_SIMD_DISPATCH(MulAssign(out, x, n))
+inline void AddColSum(double* acc, const double* m, std::size_t rows,
+                      std::size_t cols) {
+  GALE_SIMD_DISPATCH(AddColSum(acc, m, rows, cols))
 }
 
 inline void ReluForward(double* out, const double* in, std::size_t n) {
@@ -1557,83 +830,38 @@ inline void AdamUpdate(double* p, double* m, double* v, const double* g,
       AdamUpdate(p, m, v, g, lr, beta1, beta2, bias1, bias2, eps, n))
 }
 
-inline void MatMulTile4x8(double* out, std::size_t ldo, const double* a,
-                          std::size_t lda, const double* b, std::size_t ldb,
-                          std::size_t k) {
-  GALE_SIMD_DISPATCH(MatMulTile4x8(out, ldo, a, lda, b, ldb, k))
-}
-
-inline void DotTile2x4(double* out, std::size_t ldo, const double* a,
-                       std::size_t lda, const double* b, std::size_t ldb,
-                       std::size_t k) {
-  GALE_SIMD_DISPATCH(DotTile2x4(out, ldo, a, lda, b, ldb, k))
-}
-
 // Adds A·B (a: 4 x k, b: k x n) onto the leading columns of four output
 // rows that the active tier's tiles cover and returns how many: every
-// column on AVX-512, else n - n % 8 in the 4 x 8 tiles. The caller adds
-// the rest with the Axpy4/Axpy row sweep.
+// column on the vector tiers, none on the scalar one. The caller adds the
+// rest with the Axpy4/Axpy row sweep.
 inline std::size_t MatMulTiles4(double* out, std::size_t ldo, const double* a,
                                 std::size_t lda, const double* b,
                                 std::size_t ldb, std::size_t k, std::size_t n) {
-#if GALE_SIMD_X86
-  if (ActiveIsa() == Isa::kAvx512) {
-    return avx512::MatMulTiles4(out, ldo, a, lda, b, ldb, k, n);
-  }
-#endif
-  const std::size_t n8 = n - n % 8;
-  for (std::size_t j = 0; j < n8; j += 8) {
-    MatMulTile4x8(out + j, ldo, a, lda, b + j, ldb, k);
-  }
-  return n8;
+  GALE_SIMD_DISPATCH(MatMulTiles4(out, ldo, a, lda, b, ldb, k, n))
 }
 
 // Adds Aᵀ·B (a: k x rows, b: k x n) onto the leading output rows that
 // the active tier's tiles cover and returns how many: rows - rows % 4 on
-// AVX-512, else none. The caller adds the rest with Axpy4/Axpy sweeps
-// over four source rows at a time.
+// the vector tiers, none on the scalar one. The caller adds the rest with
+// Axpy4/Axpy sweeps over four source rows at a time.
 inline std::size_t TransposedMatMulTiles4(double* out, std::size_t ldo,
                                           const double* a, std::size_t lda,
                                           const double* b, std::size_t ldb,
                                           std::size_t k, std::size_t n,
                                           std::size_t rows) {
-#if GALE_SIMD_X86
-  if (ActiveIsa() == Isa::kAvx512) {
-    return avx512::TransposedMatMulTiles4(out, ldo, a, lda, b, ldb, k, n,
-                                          rows);
-  }
-#endif
-  return 0;
+  GALE_SIMD_DISPATCH(
+      TransposedMatMulTiles4(out, ldo, a, lda, b, ldb, k, n, rows))
 }
 
 // out[r][j] = Dot4(a row r, b row j, k) for j < cols over the leading rows
-// of a (rows x k) that the active tier's tiles cover, and returns how
-// many: every row on AVX-512 at depths up to its panel's, else
-// rows - rows % 2 in 2 x 4 tiles plus Dot4 for the ragged columns. The
-// caller computes the remaining rows with Dot4.
+// of a (rows x k) that the active tier covers, and returns how many: every
+// row, except on a vector tier at depths past its panel's, where none.
+// The caller computes the remaining rows with Dot4.
 inline std::size_t DotTileRows(double* out, std::size_t ldo, const double* a,
                                std::size_t lda, const double* b,
                                std::size_t ldb, std::size_t k,
                                std::size_t rows, std::size_t cols) {
-#if GALE_SIMD_X86
-  if (ActiveIsa() == Isa::kAvx512 && k <= avx512::kDotPanelDepth) {
-    return avx512::DotTileRows(out, ldo, a, lda, b, ldb, k, rows, cols);
-  }
-#endif
-  const std::size_t n4 = cols - cols % 4;
-  std::size_t i = 0;
-  for (; i + 2 <= rows; i += 2) {
-    const double* a_rows = a + i * lda;
-    double* out_rows = out + i * ldo;
-    for (std::size_t j = 0; j < n4; j += 4) {
-      DotTile2x4(out_rows + j, ldo, a_rows, lda, b + j * ldb, ldb, k);
-    }
-    for (std::size_t j = n4; j < cols; ++j) {
-      out_rows[j] = Dot4(a_rows, b + j * ldb, k);
-      out_rows[ldo + j] = Dot4(a_rows + lda, b + j * ldb, k);
-    }
-  }
-  return i;
+  GALE_SIMD_DISPATCH(DotTileRows(out, ldo, a, lda, b, ldb, k, rows, cols))
 }
 
 inline void DistanceSquared8(double* out, const double* x, const double* panel,
@@ -1642,7 +870,6 @@ inline void DistanceSquared8(double* out, const double* x, const double* panel,
 }
 
 #undef GALE_SIMD_DISPATCH
-#undef GALE_SIMD_DISPATCH512
 
 }  // namespace gale::la::simd
 

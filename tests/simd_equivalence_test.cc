@@ -10,11 +10,14 @@
 // (GALE_NUM_THREADS=4) so the lane argument composes with the thread
 // sharding one.
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -90,30 +93,6 @@ void ExpectIsaInvariant(Fn compute, const char* what) {
 
 // --- raw primitives, every tail length -------------------------------------
 
-// Exercises one primitive at n = 1..2*lane+1 so every tail remainder
-// (0..7 against the widest, 8-lane path) is covered, plus a long run.
-template <typename Fn>
-void CheckPrimitiveAllTails(Fn run_and_flatten, const char* what) {
-  for (size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u, 13u,
-                   14u, 15u, 16u, 17u, 257u}) {
-    std::vector<double> reference;
-    {
-      la::simd::ScopedIsaOverride pin(Isa::kScalar);
-      reference = run_and_flatten(n);
-    }
-    for (Isa isa : la::simd::SupportedIsas()) {
-      la::simd::ScopedIsaOverride pin(isa);
-      const std::vector<double> got = run_and_flatten(n);
-      ASSERT_EQ(reference.size(), got.size()) << what;
-      for (size_t i = 0; i < reference.size(); ++i) {
-        ASSERT_EQ(reference[i], got[i])
-            << what << ": n=" << n << " element " << i << " differs on "
-            << la::simd::IsaName(isa);
-      }
-    }
-  }
-}
-
 std::vector<double> RandomVec(size_t n, uint64_t seed) {
   util::Rng rng(seed);
   std::vector<double> v(n);
@@ -121,118 +100,218 @@ std::vector<double> RandomVec(size_t n, uint64_t seed) {
   return v;
 }
 
+// The primitives' buffers for one run: each holds its n live doubles
+// between kGuard NaN sentinels on either side (one AVX-512 register's
+// worth), so a masked tail that stores past its n elements, or before
+// them, changes a sentinel.
+class GuardedBuffers {
+ public:
+  static constexpr size_t kGuard = 8;
+  static constexpr uint64_t kSentinelBits = 0x7ff8dead0000beefull;
+
+  // A buffer whose live part is a copy of `live`.
+  double* Put(const std::vector<double>& live) {
+    std::vector<double> buf(kGuard, Sentinel());
+    buf.insert(buf.end(), live.begin(), live.end());
+    buf.insert(buf.end(), kGuard, Sentinel());
+    bufs_.push_back(std::move(buf));
+    return bufs_.back().data() + kGuard;
+  }
+  double* Random(size_t n, uint64_t seed) { return Put(RandomVec(n, seed)); }
+  double* Zeros(size_t n) { return Put(std::vector<double>(n)); }
+
+  // True when every sentinel of every buffer still has its bits.
+  bool SentinelsIntact() const {
+    for (const std::vector<double>& buf : bufs_) {
+      for (size_t i = 0; i < kGuard; ++i) {
+        if (!IsSentinel(buf[i]) || !IsSentinel(buf[buf.size() - 1 - i])) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
+ private:
+  static double Sentinel() { return std::bit_cast<double>(kSentinelBits); }
+  static bool IsSentinel(double v) {
+    return std::bit_cast<uint64_t>(v) == kSentinelBits;
+  }
+
+  std::vector<std::vector<double>> bufs_;
+};
+
+// The live elements of several outputs, one after the other.
+std::vector<double> Concat(
+    std::initializer_list<std::pair<const double*, size_t>> parts) {
+  std::vector<double> out;
+  for (const auto& [p, n] : parts) out.insert(out.end(), p, p + n);
+  return out;
+}
+
+// Runs one primitive at n = 0..17 and 257, so every tail remainder (0..7
+// against the widest, 8-lane path) and the empty sweep are covered, with
+// its buffers from a fresh GuardedBuffers per run. Every tier in
+// SupportedIsas() must leave the sentinels untouched and reproduce the
+// scalar run's bits.
+template <typename Fn>
+void CheckPrimitiveAllTails(Fn run_and_flatten, const char* what) {
+  for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u,
+                   13u, 14u, 15u, 16u, 17u, 257u}) {
+    std::vector<double> reference;
+    {
+      la::simd::ScopedIsaOverride pin(Isa::kScalar);
+      GuardedBuffers g;
+      reference = run_and_flatten(n, g);
+      ASSERT_TRUE(g.SentinelsIntact()) << what << ": n=" << n << " on scalar";
+    }
+    for (Isa isa : la::simd::SupportedIsas()) {
+      la::simd::ScopedIsaOverride pin(isa);
+      GuardedBuffers g;
+      const std::vector<double> got = run_and_flatten(n, g);
+      ASSERT_TRUE(g.SentinelsIntact())
+          << what << ": n=" << n << " wrote outside its buffer on "
+          << la::simd::IsaName(isa);
+      ASSERT_EQ(reference.size(), got.size()) << what;
+      for (size_t i = 0; i < reference.size(); ++i) {
+        ASSERT_TRUE(SameBits(reference[i], got[i]))
+            << what << ": n=" << n << " element " << i << " differs on "
+            << la::simd::IsaName(isa);
+      }
+    }
+  }
+}
+
 TEST(SimdEquivalenceTest, PrimitivesAllTails) {
   CheckPrimitiveAllTails(
-      [](size_t n) {
-        std::vector<double> out = RandomVec(n, 1);
-        const std::vector<double> x = RandomVec(n, 2);
-        la::simd::Axpy(out.data(), x.data(), 1.7, n);
-        return out;
+      [](size_t n, GuardedBuffers& g) {
+        double* out = g.Random(n, 1);
+        la::simd::Axpy(out, g.Random(n, 2), 1.7, n);
+        return Concat({{out, n}});
       },
       "Axpy");
   CheckPrimitiveAllTails(
-      [](size_t n) {
-        std::vector<double> out = RandomVec(n, 3);
-        const std::vector<double> x0 = RandomVec(n, 4);
-        const std::vector<double> x1 = RandomVec(n, 5);
-        const std::vector<double> x2 = RandomVec(n, 6);
-        const std::vector<double> x3 = RandomVec(n, 7);
-        la::simd::Axpy4(out.data(), x0.data(), x1.data(), x2.data(),
-                        x3.data(), 0.3, -1.1, 2.7, -0.2, n);
-        return out;
+      [](size_t n, GuardedBuffers& g) {
+        double* out = g.Random(n, 3);
+        la::simd::Axpy4(out, g.Random(n, 4), g.Random(n, 5), g.Random(n, 6),
+                        g.Random(n, 7), 0.3, -1.1, 2.7, -0.2, n);
+        return Concat({{out, n}});
       },
       "Axpy4");
   CheckPrimitiveAllTails(
-      [](size_t n) {
+      [](size_t n, GuardedBuffers& g) {
         // k-groups of three, two and four terms and one of one, then the
         // ragged indices 13 and 14 past aligned = 12.
         const std::vector<uint32_t> idx = {0, 1, 3, 5, 6, 8, 9, 10, 11, 13, 14};
         const std::vector<double> vals = RandomVec(idx.size(), 30);
-        const std::vector<double> x = RandomVec(15 * n, 31);
-        std::vector<double> out = RandomVec(n, 32);
-        la::simd::GroupedAxpyLine(out.data(), x.data(), n, idx.data(),
-                                  vals.data(), 0, idx.size(), 12);
-        la::simd::GroupedAxpyLine(out.data(), x.data(), n, idx.data(),
-                                  vals.data(), 4, 9, 12);
-        return out;
+        const double* x = g.Random(15 * n, 31);
+        double* out = g.Random(n, 32);
+        la::simd::GroupedAxpyLine(out, x, n, idx.data(), vals.data(), 0,
+                                  idx.size(), 12);
+        la::simd::GroupedAxpyLine(out, x, n, idx.data(), vals.data(), 4, 9,
+                                  12);
+        return Concat({{out, n}});
       },
       "GroupedAxpyLine");
   CheckPrimitiveAllTails(
-      [](size_t n) {
-        const std::vector<double> a = RandomVec(n, 8);
-        const std::vector<double> b = RandomVec(n, 9);
-        return std::vector<double>{la::simd::Dot4(a.data(), b.data(), n)};
+      [](size_t n, GuardedBuffers& g) {
+        return std::vector<double>{
+            la::simd::Dot4(g.Random(n, 8), g.Random(n, 9), n)};
       },
       "Dot4");
   CheckPrimitiveAllTails(
-      [](size_t n) {
-        const std::vector<double> a = RandomVec(n, 10);
-        const std::vector<double> b = RandomVec(n, 11);
-        std::vector<double> out(n);
-        la::simd::Add(out.data(), a.data(), b.data(), n);
-        la::simd::Sub(out.data(), out.data(), a.data(), n);
-        la::simd::Scale(out.data(), out.data(), -0.37, n);
-        la::simd::AddAssign(out.data(), a.data(), n);
-        la::simd::SubAssign(out.data(), b.data(), n);
-        la::simd::MulAssign(out.data(), a.data(), n);
-        la::simd::Mul(out.data(), out.data(), b.data(), n);
-        la::simd::ScaleAssign(out.data(), 1.13, n);
-        return out;
+      [](size_t n, GuardedBuffers& g) {
+        const double* a = g.Random(n, 10);
+        const double* b = g.Random(n, 11);
+        double* out = g.Zeros(n);
+        la::simd::Add(out, a, b, n);
+        la::simd::Sub(out, out, a, n);
+        la::simd::Scale(out, out, -0.37, n);
+        la::simd::Add(out, out, a, n);
+        la::simd::Sub(out, out, b, n);
+        la::simd::Mul(out, out, a, n);
+        la::simd::Mul(out, out, b, n);
+        la::simd::Scale(out, out, 1.13, n);
+        return Concat({{out, n}});
       },
       "elementwise family");
   CheckPrimitiveAllTails(
-      [](size_t n) {
-        std::vector<double> in = RandomVec(n, 12);
-        if (!in.empty()) in[0] = -0.0;  // signed-zero edge
-        const std::vector<double> grad = RandomVec(n, 13);
-        std::vector<double> out(4 * n);
-        la::simd::ReluForward(out.data(), in.data(), n);
-        la::simd::ReluBackward(out.data() + n, grad.data(), in.data(), n);
-        la::simd::LeakyReluForward(out.data() + 2 * n, in.data(), 0.2, n);
-        la::simd::LeakyReluBackward(out.data() + 3 * n, grad.data(),
-                                    in.data(), 0.2, n);
-        return out;
+      [](size_t n, GuardedBuffers& g) {
+        // Three rows of n columns: every row's tail is a ragged one.
+        constexpr size_t kRows = 3;
+        double* m = g.Random(kRows * n, 20);
+        double* acc = g.Random(n, 22);
+        la::simd::AddRowBroadcast(m, g.Random(n, 21), kRows, n);
+        la::simd::AddColSum(acc, m, kRows, n);
+        return Concat({{m, kRows * n}, {acc, n}});
+      },
+      "row broadcast / column sum");
+  CheckPrimitiveAllTails(
+      [](size_t n, GuardedBuffers& g) {
+        std::vector<double> live = RandomVec(n, 12);
+        if (n > 0) live[0] = -0.0;  // signed-zero edge
+        const double* in = g.Put(live);
+        const double* grad = g.Random(n, 13);
+        double* relu = g.Zeros(n);
+        double* relu_grad = g.Zeros(n);
+        double* leaky = g.Zeros(n);
+        double* leaky_grad = g.Zeros(n);
+        la::simd::ReluForward(relu, in, n);
+        la::simd::ReluBackward(relu_grad, grad, in, n);
+        la::simd::LeakyReluForward(leaky, in, 0.2, n);
+        la::simd::LeakyReluBackward(leaky_grad, grad, in, 0.2, n);
+        return Concat({{relu, n}, {relu_grad, n}, {leaky, n}, {leaky_grad, n}});
       },
       "relu family");
   CheckPrimitiveAllTails(
-      [](size_t n) {
-        const std::vector<double> grad = RandomVec(n, 14);
+      [](size_t n, GuardedBuffers& g) {
+        const double* grad = g.Random(n, 14);
         std::vector<double> s = RandomVec(n, 15);
         for (double& v : s) v = 1.0 / (1.0 + std::exp(-v));
-        std::vector<double> out(2 * n);
-        la::simd::SigmoidBackward(out.data(), grad.data(), s.data(), n);
-        la::simd::TanhBackward(out.data() + n, grad.data(), s.data(), n);
-        return out;
+        const double* sig = g.Put(s);
+        double* sig_grad = g.Zeros(n);
+        double* tanh_grad = g.Zeros(n);
+        la::simd::SigmoidBackward(sig_grad, grad, sig, n);
+        la::simd::TanhBackward(tanh_grad, grad, sig, n);
+        return Concat({{sig_grad, n}, {tanh_grad, n}});
       },
       "sigmoid/tanh backward");
   CheckPrimitiveAllTails(
-      [](size_t n) {
-        std::vector<double> p = RandomVec(n, 16);
-        std::vector<double> m = RandomVec(n, 17);
-        std::vector<double> v = RandomVec(n, 18);
-        for (double& x : v) x = x * x;  // second moments are non-negative
-        const std::vector<double> g = RandomVec(n, 19);
-        la::simd::AdamUpdate(p.data(), m.data(), v.data(), g.data(), 1e-3,
-                             0.9, 0.999, 0.1, 0.01, 1e-8, n);
-        std::vector<double> out = p;
-        out.insert(out.end(), m.begin(), m.end());
-        out.insert(out.end(), v.begin(), v.end());
-        return out;
+      [](size_t n, GuardedBuffers& g) {
+        double* p = g.Random(n, 16);
+        double* m = g.Random(n, 17);
+        std::vector<double> v2 = RandomVec(n, 18);
+        for (double& x : v2) x = x * x;  // second moments are non-negative
+        double* v = g.Put(v2);
+        la::simd::AdamUpdate(p, m, v, g.Random(n, 19), 1e-3, 0.9, 0.999, 0.1,
+                             0.01, 1e-8, n);
+        return Concat({{p, n}, {m, n}, {v, n}});
       },
       "AdamUpdate");
+  CheckPrimitiveAllTails(
+      [](size_t n, GuardedBuffers& g) {
+        // d = n coordinates against one panel of eight centroids.
+        double* out = g.Zeros(la::simd::kDistanceLanes);
+        la::simd::DistanceSquared8(
+            out, g.Random(n, 23),
+            g.Random(n * la::simd::kDistanceLanes, 24), n);
+        return Concat({{out, la::simd::kDistanceLanes}});
+      },
+      "DistanceSquared8");
 }
 
 TEST(SimdEquivalenceTest, GroupedLineWidths) {
-  // The widths AVX-512 keeps in registers (n = 8..64, n % 8 == 0) and
-  // ragged ones it hands to the AVX2 body. The line mixes k-groups of
+  // The widths a tier keeps in registers (up to eight whole registers:
+  // n % 8 == 0 up to 64 on AVX-512, n % 4 == 0 up to 32 on AVX2) and
+  // ragged ones that fold through memory. The line mixes k-groups of
   // every term count with ragged indices past aligned = 40, and a second
   // call adds onto the first's result the way the panelled Aᵀ·B does.
   const std::vector<uint32_t> idx = {0,  1,  2,  3,  5,  6,  9,  12, 13, 14,
                                      16, 19, 20, 21, 22, 23, 26, 27, 28, 31,
                                      33, 34, 36, 37, 38, 39, 40, 42, 43};
   const std::vector<double> vals = RandomVec(idx.size(), 40);
-  for (size_t n : {8u, 16u, 24u, 32u, 40u, 48u, 56u, 64u, 3u, 62u, 65u,
-                   70u}) {
+  for (size_t n : {4u, 8u, 12u, 16u, 20u, 24u, 28u, 32u, 40u, 48u, 56u, 64u,
+                   3u, 62u, 65u, 70u}) {
     const std::vector<double> x = RandomVec(44 * n, 41 + n);
     std::vector<double> reference;
     for (Isa isa : la::simd::SupportedIsas()) {

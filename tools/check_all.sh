@@ -16,6 +16,11 @@
 #   simdoff GALE_SIMD=OFF scalar-fallback build, full ctest suite — keeps
 #           the non-vectorized path green (it is the bitwise reference
 #           the SIMD kernels are checked against)
+#   codegen Release build of the libraries, then
+#           tools/check_simd_codegen.sh over them: no AVX-512 (zmm or
+#           opmask) register in an avx2-tier function and no ymm register
+#           in a scalar-tier one, so an AVX2-only CPU never meets an EVEX
+#           instruction that the AVX-512 test hosts would run fine
 #   serve   serving-path gate: the batcher replay harness under TSan
 #           (races between callers taking turns as leader) and ASan (the
 #           snapshot's binary loader on corrupt/truncated files), plus an
@@ -39,7 +44,7 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then
-  stages=(analyze werror asan ubsan tsan simdoff serve store)
+  stages=(analyze werror asan ubsan tsan simdoff codegen serve store)
 fi
 jobs="$(nproc)"
 
@@ -142,6 +147,16 @@ for stage in "${stages[@]}"; do
         -DCMAKE_BUILD_TYPE=Release \
         -DGALE_SIMD=OFF -DGALE_DEBUG_CHECKS=ON
       ;;
+    codegen)
+      run_stage "SIMD tier codegen (objdump over the libraries)"
+      build_dir="${repo_root}/build-codegen"
+      cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
+      cmake --build "${build_dir}" -j "${jobs}" --target \
+        gale_util gale_obs gale_la gale_nn gale_graph gale_prop gale_core \
+        gale_detect gale_baselines gale_eval gale_serve gale_store
+      "${repo_root}/tools/check_simd_codegen.sh" \
+        "${build_dir}"/src/*/libgale_*.a
+      ;;
     serve)
       run_stage "serving path (replay under TSan + ASan, corruption cases)"
       # TSan: concurrent callers taking turns as leader. Same configure
@@ -204,8 +219,8 @@ for stage in "${stages[@]}"; do
       ;;
     *)
       echo "check_all: unknown stage '${stage}'" >&2
-      echo "stages: analyze werror asan ubsan tsan simdoff serve store" \
-           "bench" >&2
+      echo "stages: analyze werror asan ubsan tsan simdoff codegen serve" \
+           "store bench" >&2
       exit 2
       ;;
   esac
