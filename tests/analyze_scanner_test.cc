@@ -1,8 +1,8 @@
 // Pins the gale_analyze scanner contracts that the self-test fixtures
-// cannot reach: the incremental cache (invalidation on edit, no
-// re-tokenization of unchanged files, sibling-header dependency), and
-// byte-identical reports across thread counts and cache states. The
-// rule-level behavior itself is pinned by `gale_analyze --self-test`.
+// cannot reach: ScanTree's pairing of a .cc with its header on disk, and
+// byte-identical reports across thread counts; plus the allow() scope
+// and unknown-rule contracts of AnalyzeFileSet. The rule-level behavior
+// itself is pinned by `gale_analyze --self-test`.
 
 #include <unistd.h>
 
@@ -24,7 +24,6 @@ namespace {
 
 using gale::analyze::AnalyzeFileSet;
 using gale::analyze::Finding;
-using gale::analyze::ScanOptions;
 using gale::analyze::ScanResult;
 using gale::analyze::ScanTree;
 
@@ -47,7 +46,6 @@ class ScratchTree {
   }
 
   std::string Root() const { return root_.string(); }
-  std::string CachePath() const { return (root_ / "scan.cache").string(); }
 
  private:
   fs::path root_;
@@ -59,56 +57,7 @@ std::string RandCall() {
   return std::string("int f() { return std::") + "rand" + "(); }\n";
 }
 
-TEST(AnalyzeScanner, ColdThenWarmCacheIsByteIdenticalAndSkipsTokenize) {
-  ScratchTree tree;
-  tree.Put("src/util/a.cc", "int A() { return 1; }\n");
-  tree.Put("src/util/b.cc", "int B() { return 2; }\n");
-
-  ScanOptions options;
-  options.cache_path = tree.CachePath();
-
-  const ScanResult cold = ScanTree(tree.Root(), options);
-  EXPECT_EQ(cold.stats.files, 2u);
-  EXPECT_EQ(cold.stats.retokenized, 2u);
-  EXPECT_EQ(cold.stats.cache_hits, 0u);
-
-  const ScanResult warm = ScanTree(tree.Root(), options);
-  EXPECT_EQ(warm.stats.files, 2u);
-  EXPECT_EQ(warm.stats.retokenized, 0u) << "warm run re-tokenized a file";
-  EXPECT_EQ(warm.stats.cache_hits, 2u);
-  EXPECT_EQ(gale::analyze::FormatText(cold.findings),
-            gale::analyze::FormatText(warm.findings));
-  EXPECT_EQ(gale::analyze::FormatSarif(cold.findings),
-            gale::analyze::FormatSarif(warm.findings));
-}
-
-TEST(AnalyzeScanner, EditedFileIsRescannedAndFindingAppears) {
-  ScratchTree tree;
-  tree.Put("src/util/a.cc", "int A() { return 1; }\n");
-  tree.Put("src/util/b.cc", "int B() { return 2; }\n");
-
-  ScanOptions options;
-  options.cache_path = tree.CachePath();
-  const ScanResult before = ScanTree(tree.Root(), options);
-  EXPECT_TRUE(before.findings.empty());
-
-  // Introduce an rng violation in one file; the other must be served
-  // from the cache untouched.
-  tree.Put("src/util/a.cc", RandCall());
-  const ScanResult after = ScanTree(tree.Root(), options);
-  EXPECT_EQ(after.stats.retokenized, 1u);
-  EXPECT_EQ(after.stats.cache_hits, 1u);
-  ASSERT_EQ(after.findings.size(), 1u);
-  EXPECT_EQ(after.findings[0].rule, "rng");
-  EXPECT_EQ(after.findings[0].file, "src/util/a.cc");
-
-  // Reverting restores a clean report through the same cache file.
-  tree.Put("src/util/a.cc", "int A() { return 1; }\n");
-  const ScanResult reverted = ScanTree(tree.Root(), options);
-  EXPECT_TRUE(reverted.findings.empty());
-}
-
-TEST(AnalyzeScanner, SiblingHeaderEditInvalidatesTheCc) {
+TEST(AnalyzeScanner, SiblingHeaderTypesDecideTheCcFindings) {
   ScratchTree tree;
   // The .cc compares two members; whether that is a float-compare
   // violation depends entirely on the declared type in the header.
@@ -116,14 +65,11 @@ TEST(AnalyzeScanner, SiblingHeaderEditInvalidatesTheCc) {
   tree.Put("src/util/pair.cc",
            "#include \"util/pair.h\"\n"
            "bool Same(const P& p) { return p.x_ == p.y_; }\n");
-
-  ScanOptions options;
-  options.cache_path = tree.CachePath();
-  const ScanResult before = ScanTree(tree.Root(), options);
-  EXPECT_TRUE(before.findings.empty());
+  EXPECT_TRUE(ScanTree(tree.Root(), {}).findings.empty());
 
   tree.Put("src/util/pair.h", "struct P { double x_; double y_; };\n");
-  const ScanResult after = ScanTree(tree.Root(), options);
+  const ScanResult after = ScanTree(tree.Root(), {});
+  EXPECT_EQ(after.files, 2u);
   ASSERT_EQ(after.findings.size(), 1u);
   EXPECT_EQ(after.findings[0].rule, "float-compare");
   EXPECT_EQ(after.findings[0].file, "src/util/pair.cc");
@@ -152,26 +98,6 @@ TEST(AnalyzeScanner, ReportIsByteIdenticalAcrossThreadCounts) {
   }
   EXPECT_FALSE(text1.empty());
   EXPECT_EQ(text1, text4);
-}
-
-TEST(AnalyzeScanner, CorruptCacheDegradesToColdScan) {
-  ScratchTree tree;
-  tree.Put("src/util/a.cc", RandCall());
-
-  ScanOptions options;
-  options.cache_path = tree.CachePath();
-  // Valid header but a malformed numeric field: the loader must discard
-  // the cache (cold scan), not crash or reuse garbage.
-  {
-    std::ofstream out(options.cache_path, std::ios::trunc);
-    out << "gale-analyze-cache v1\n"
-        << "F\tsrc/util/a.cc\tnot-a-number\t0\t0\t-\t0\n";
-  }
-  const ScanResult result = ScanTree(tree.Root(), options);
-  EXPECT_EQ(result.stats.retokenized, 1u);
-  EXPECT_EQ(result.stats.cache_hits, 0u);
-  ASSERT_EQ(result.findings.size(), 1u);
-  EXPECT_EQ(result.findings[0].rule, "rng");
 }
 
 TEST(AnalyzeFileSetContract, AllowScopeCoversWholeNextStatement) {

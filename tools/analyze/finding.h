@@ -8,7 +8,7 @@ namespace gale::analyze {
 
 // One rule violation. Findings are value objects; the scanner orders the
 // final report by (file, line, rule, message) so output is deterministic
-// regardless of thread count or cache state.
+// regardless of thread count.
 struct Finding {
   std::string file;
   int line = 0;

@@ -1,9 +1,9 @@
 // gale_analyze — multi-pass, multi-TU static analyzer for the GALE tree.
 //
 // Token-level single-file rules, a cross-TU include-graph pass enforcing
-// the module layering DAG, a parallel scan with an incremental cache, and
-// text or SARIF output. See rules.h for the rule catalog and
-// annotations.h for the exact allow() suppression scope.
+// the module layering DAG, a parallel scan, and text or SARIF output. See
+// rules.h for the rule catalog and annotations.h for the exact allow()
+// suppression scope.
 //
 // Usage:
 //   gale_analyze [options] <repo_root>
@@ -12,21 +12,19 @@
 //
 // Options:
 //   --format=text|sarif  report format on stdout (default text)
-//   --cache=<file>       incremental cache: warm runs re-tokenize only
-//                        changed files (mtime+size fast path, content
-//                        hash on mismatch)
 //   --rules=<id,id,...>  report only these rules (the scan still runs
-//                        every pass so the cache stays rule-complete)
+//                        every pass)
 //
-// Scan statistics go to stderr so stdout is byte-identical across
-// cold/warm cache runs and thread counts; CI diffs stdout directly.
-// Exit status: 0 clean, 1 findings, 2 usage/configuration error.
+// Scan statistics go to stderr so stdout is byte-identical across thread
+// counts; CI diffs stdout directly.
+// Exit status: 0 clean, 1 findings, 2 usage/configuration error (an
+// unknown option or rule, an empty --rules= list, or a root under which
+// no source file was found).
 
 #include <iostream>
 #include <set>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "analyze/output.h"
 #include "analyze/rules.h"
@@ -37,8 +35,8 @@ namespace {
 
 int Usage() {
   std::cerr
-      << "usage: gale_analyze [--format=text|sarif] [--cache=<file>]\n"
-      << "                    [--rules=<id,id,...>] <repo_root>\n"
+      << "usage: gale_analyze [--format=text|sarif] [--rules=<id,id,...>]\n"
+      << "                    <repo_root>\n"
       << "       gale_analyze --self-test | --list-rules\n";
   return 2;
 }
@@ -52,9 +50,8 @@ int main(int argc, char** argv) {
   bool self_test = false;
   bool list_rules = false;
 
-  std::vector<std::string> args(argv + 1, argv + argc);
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
     if (arg == "--self-test") {
       self_test = true;
     } else if (arg == "--list-rules") {
@@ -62,13 +59,10 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--format=", 0) == 0) {
       format = arg.substr(9);
       if (format != "text" && format != "sarif") return Usage();
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      options.cache_path = arg.substr(8);
-    } else if (arg == "--cache" && i + 1 < args.size()) {
-      options.cache_path = args[++i];
     } else if (arg.rfind("--rules=", 0) == 0) {
       std::istringstream split(arg.substr(8));
       std::string rule;
+      bool named = false;
       while (std::getline(split, rule, ',')) {
         if (rule.empty()) continue;
         if (gale::analyze::RuleIds().count(rule) == 0) {
@@ -77,10 +71,18 @@ int main(int argc, char** argv) {
           return 2;
         }
         options.only_rules.insert(rule);
+        named = true;
+      }
+      if (!named) {
+        std::cerr << "gale_analyze: --rules= names no rule\n";
+        return 2;
       }
     } else if (!arg.empty() && arg[0] != '-' && root.empty()) {
       root = arg;
     } else {
+      if (arg[0] == '-') {
+        std::cerr << "gale_analyze: unknown option '" << arg << "'\n";
+      }
       return Usage();
     }
   }
@@ -99,14 +101,17 @@ int main(int argc, char** argv) {
 
   const gale::analyze::ScanResult result =
       gale::analyze::ScanTree(root, options);
+  if (result.files == 0) {
+    std::cerr << "gale_analyze: no source files under '" << root
+              << "' (expected src/, tests/, bench/, tools/ or examples/)\n";
+    return 2;
+  }
   if (format == "sarif") {
     std::cout << gale::analyze::FormatSarif(result.findings);
   } else {
     std::cout << gale::analyze::FormatText(result.findings);
   }
-  std::cerr << "gale_analyze: " << result.stats.files << " file(s), "
-            << result.stats.cache_hits << " cache hit(s), "
-            << result.stats.retokenized << " re-tokenized, "
+  std::cerr << "gale_analyze: " << result.files << " file(s), "
             << result.findings.size() << " finding(s)\n";
   return result.findings.empty() ? 0 : 1;
 }

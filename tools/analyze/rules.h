@@ -59,10 +59,9 @@ const std::vector<RuleInfo>& RuleCatalog();
 // The ids from RuleCatalog() as a set (for allow() validation).
 const std::set<std::string>& RuleIds();
 
-// Everything the scanner derives from one file in isolation. This is the
-// unit the incremental cache stores: per-file findings are final, and
-// `includes` + `include_allows` feed the cross-TU include-graph pass,
-// which is recomputed from these facts on every run.
+// Everything the scanner derives from one file in isolation: per-file
+// findings are final, and `includes` + `include_allows` feed the cross-TU
+// include-graph pass.
 struct FileFacts {
   std::vector<Finding> findings;
   std::vector<IncludeDirective> includes;

@@ -1,22 +1,12 @@
-// Tree scanner: enumeration, parallel per-file analysis, the incremental
-// cache, and the cross-TU pass, glued into one deterministic pipeline.
+// Tree scanner: enumeration and file reading in front of the one analysis
+// pipeline (parallel per-file pass, then the cross-TU include-graph pass)
+// that the self-test fixtures run too.
 //
-// Determinism contract: ScanTree's findings are sorted by (file, line,
-// rule, message) and every per-file result lands in a slot indexed by the
-// sorted file order, so the report is byte-identical at any
-// GALE_NUM_THREADS and for any cold/warm cache state (pinned by
-// analyze_scanner_test and the check_all.sh analyze stage).
-//
-// Incremental cache (--cache <file>): one text file, versioned, holding
-// per scanned file its (size, mtime, FNV-1a content hash), the hash of
-// its paired header (a .cc's findings depend on its .h), and the full
-// per-file facts (findings + include edges + per-include allow sets). On
-// a warm run a file whose size+mtime match is trusted without being
-// read; a file whose mtime changed but whose content hash matches is
-// re-stamped without being re-tokenized. Only genuinely changed files
-// (or files whose paired header changed) are re-tokenized. The cross-TU
-// include-graph pass is recomputed from the cached facts on every run —
-// it is a graph walk over a few hundred edge lists, not a tokenization.
+// Determinism contract: findings are sorted by (file, line, rule,
+// message) and every per-file result lands in a slot indexed by the
+// file's position in the input, so the report is byte-identical at any
+// GALE_NUM_THREADS (pinned by analyze_scanner_test and the check_all.sh
+// analyze stage).
 
 #ifndef GALE_TOOLS_ANALYZE_SCANNER_H_
 #define GALE_TOOLS_ANALYZE_SCANNER_H_
@@ -32,32 +22,23 @@
 namespace gale::analyze {
 
 struct ScanOptions {
-  // Path of the incremental cache file; empty scans cold and writes
-  // nothing.
-  std::string cache_path;
   // When non-empty, only findings of these rules are reported (the scan
-  // still runs every pass; the filter is at the report stage so the
-  // cache stays rule-complete).
+  // still runs every pass; the filter is at the report stage).
   std::set<std::string> only_rules;
-};
-
-struct ScanStats {
-  size_t files = 0;        // files enumerated
-  size_t retokenized = 0;  // files that went through Lex + rules
-  size_t cache_hits = 0;   // files served entirely from the cache
 };
 
 struct ScanResult {
   std::vector<Finding> findings;  // sorted, deterministic
-  ScanStats stats;
+  size_t files = 0;               // files enumerated
 };
 
-// Scans src/, tests/, bench/, tools/, examples/ under `root`.
+// Scans src/, tests/, bench/, tools/, examples/ under `root`: reads every
+// .cc/.h/.cpp/.hpp file and runs AnalyzeFileSet over them.
 ScanResult ScanTree(const std::string& root, const ScanOptions& options);
 
-// In-memory variant for fixtures: runs the single-TU pass on every
-// (path, content) pair — with sibling-header pairing within the set —
-// plus the include-graph pass, and returns the sorted findings.
+// Runs the single-TU pass on every (path, content) pair in parallel — a
+// .cc/.cpp is paired with the .h of the same stem within the set — then
+// the include-graph pass, and returns the sorted findings.
 std::vector<Finding> AnalyzeFileSet(
     const std::vector<std::pair<std::string, std::string>>& files);
 
