@@ -24,6 +24,7 @@
 // Usage: bench_simd_scaling [--repeats N]
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -121,6 +122,9 @@ int main(int argc, char** argv) {
   const la::Matrix act_grad =
       la::Matrix::RandomNormal(kBatchRows, kHidden, 1.0, rng);
   la::Matrix act_out(kBatchRows, kHidden);
+  // The fused LeakyReLU + dropout layer's keep bits at rate 0.5.
+  std::vector<uint64_t> keep_bits((act_in.size() + 63) / 64);
+  for (uint64_t& word : keep_bits) word = rng.Next();
   la::Matrix adam_p = la::Matrix::RandomNormal(162, kHidden, 0.1, rng);
   la::Matrix adam_m(162, kHidden);
   la::Matrix adam_v(162, kHidden);
@@ -164,6 +168,21 @@ int main(int argc, char** argv) {
                            la::simd::LeakyReluBackward(
                                act_out.data().data(), act_grad.data().data(),
                                act_in.data().data(), 0.2, act_in.size());
+                         }
+                       }});
+  workloads.push_back({"LeakyReluDropoutForward 5742x64 x8", [&] {
+                         for (int i = 0; i < 8; ++i) {
+                           la::simd::LeakyReluDropoutForward(
+                               act_out.data().data(), act_in.data().data(),
+                               keep_bits.data(), 0.2, 2.0, act_in.size());
+                         }
+                       }});
+  workloads.push_back({"LeakyReluDropoutBackward 5742x64 x8", [&] {
+                         for (int i = 0; i < 8; ++i) {
+                           la::simd::LeakyReluDropoutBackward(
+                               act_out.data().data(), act_grad.data().data(),
+                               act_in.data().data(), keep_bits.data(), 0.2,
+                               2.0, act_in.size());
                          }
                        }});
   workloads.push_back({"AdamUpdate 162x64 x64", [&] {

@@ -135,12 +135,12 @@ Sgan::Sgan(size_t feature_dim, const SganConfig& config)
   GALE_CHECK_GT(feature_dim, 0u);
   const util::Result<void> valid = config_.Validate();
   GALE_CHECK(valid.ok()) << valid.status();
-  // Discriminator: Dense -> LeakyReLU -> Dropout -> Dense -> LeakyReLU
-  // (penultimate embedding H_n) -> Dense(3 logits).
+  // Discriminator: Dense -> LeakyReLU+Dropout (one fused layer) -> Dense
+  // -> LeakyReLU (penultimate embedding H_n) -> Dense(3 logits).
   discriminator_.Add(
       std::make_unique<nn::Dense>(feature_dim, config_.hidden_dim, rng_));
-  discriminator_.Add(std::make_unique<nn::LeakyRelu>(kSganLeakySlope));
-  discriminator_.Add(std::make_unique<nn::Dropout>(config_.dropout, rng_));
+  discriminator_.Add(std::make_unique<nn::LeakyReluDropout>(
+      kSganLeakySlope, config_.dropout, rng_));
   discriminator_.Add(std::make_unique<nn::Dense>(config_.hidden_dim,
                                                  config_.embedding_dim, rng_));
   discriminator_.Add(std::make_unique<nn::LeakyRelu>(kSganLeakySlope));

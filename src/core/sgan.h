@@ -53,9 +53,9 @@ inline constexpr double kSganLeakySlope = 0.2;
 
 // Value copy of the trained discriminator's Dense parameters in layer
 // order (input -> hidden -> embedding -> 3 logits). The serving layer
-// (serve/snapshot.h) rebuilds D's eval-mode forward from this — Dropout
-// is identity in eval, so Dense + LeakyReLU alone reproduce
-// PredictProbabilities bitwise.
+// (serve/snapshot.h) rebuilds D's eval-mode forward from this — the
+// fused LeakyReLU+Dropout layer is plain LeakyReLU in eval, so Dense +
+// LeakyReLU alone reproduce PredictProbabilities bitwise.
 struct DiscriminatorSnapshot {
   std::vector<la::Matrix> weights;  // weights[i]: in_i x out_i
   std::vector<la::Matrix> biases;   // biases[i]: 1 x out_i

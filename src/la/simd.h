@@ -383,6 +383,34 @@ inline void LeakyReluBackward(double* out, const double* grad,
   }
 }
 
+// LeakyReLU followed by inverted dropout in one sweep. Bit i % 64 of
+// keep[i / 64] is element i's keep bit, 0 where dropout zeroed it. A
+// dropped element is +0.0, whatever the sign of its input.
+inline bool KeepBit(const std::uint64_t* keep, std::size_t i) {
+  return (keep[i / 64] >> (i % 64) & 1) != 0;
+}
+
+inline void LeakyReluDropoutForward(double* out, const double* in,
+                                    const std::uint64_t* keep, double slope,
+                                    double scale, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const double v = in[j];
+    out[j] = KeepBit(keep, j) ? (v > 0.0 ? v : slope * v) * scale : 0.0;
+  }
+}
+
+// Dropout's backward, grad·(0 or scale), then LeakyReLU's on the
+// layer's input.
+inline void LeakyReluDropoutBackward(double* out, const double* grad,
+                                     const double* in,
+                                     const std::uint64_t* keep, double slope,
+                                     double scale, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const double t = grad[j] * (KeepBit(keep, j) ? scale : 0.0);
+    out[j] = in[j] <= 0.0 ? t * slope : t;
+  }
+}
+
 // out[j] = grad[j] * (s[j] * (1 - s[j])), s = the cached sigmoid output.
 inline void SigmoidBackward(double* out, const double* grad, const double* s,
                             std::size_t n) {
@@ -503,6 +531,14 @@ struct Lanes {
   static V Sqrt(V a) { return _mm256_sqrt_pd(a); }
   static V Max(V a, V b) { return _mm256_max_pd(a, b); }
   static Cmp CmpLe(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
+  // Lane l set where bit l of `bits` is; the higher bits are ignored.
+  static Cmp FromBits(std::uint64_t bits) {
+    const __m256i lane = _mm256_setr_epi64x(1, 2, 4, 8);
+    return _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+        _mm256_and_si256(
+            _mm256_set1_epi64x(static_cast<long long>(bits)), lane),
+        lane));
+  }
   // Lane l of t where c is set, else lane l of f.
   static V Select(Cmp c, V t, V f) { return _mm256_blendv_pd(f, t, c); }
 };
@@ -686,6 +722,7 @@ struct Lanes {
   static V Sqrt(V a) { return _mm512_maskz_sqrt_pd(0xFF, a); }
   static V Max(V a, V b) { return _mm512_maskz_max_pd(0xFF, a, b); }
   static Cmp CmpLe(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ); }
+  static Cmp FromBits(std::uint64_t bits) { return static_cast<Cmp>(bits); }
   static V Select(Cmp c, V t, V f) { return _mm512_mask_blend_pd(c, f, t); }
 };
 
@@ -811,6 +848,20 @@ inline void LeakyReluBackward(double* out, const double* grad,
                               const double* in, double slope,
                               std::size_t n) {
   GALE_SIMD_DISPATCH(LeakyReluBackward(out, grad, in, slope, n))
+}
+
+inline void LeakyReluDropoutForward(double* out, const double* in,
+                                    const std::uint64_t* keep, double slope,
+                                    double scale, std::size_t n) {
+  GALE_SIMD_DISPATCH(LeakyReluDropoutForward(out, in, keep, slope, scale, n))
+}
+
+inline void LeakyReluDropoutBackward(double* out, const double* grad,
+                                     const double* in,
+                                     const std::uint64_t* keep, double slope,
+                                     double scale, std::size_t n) {
+  GALE_SIMD_DISPATCH(
+      LeakyReluDropoutBackward(out, grad, in, keep, slope, scale, n))
 }
 
 inline void SigmoidBackward(double* out, const double* grad, const double* s,

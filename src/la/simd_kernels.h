@@ -3,11 +3,12 @@
 // under #pragma GCC target("avx2") and into avx512::generic under
 // target("avx512f"), so no include guard and no includes. No intrinsics
 // either: the traits hold them (gale_analyze rule simd-intrinsics) and
-// give V (kWidth doubles), Mask (the live lanes of a tail), Cmp,
-// kRegisters and the lane-wise operations. Each lane computes the scalar
-// reference's tree for its own element (simd.h states the argument); a
-// tail of n % kWidth elements runs as one masked step whose dead lanes
-// load zeros and are never stored.
+// give V (kWidth doubles), Mask (the live lanes of a tail), Cmp (a
+// compare result, or lanes from bits by FromBits), kRegisters and the
+// lane-wise operations. Each lane computes the scalar reference's tree for
+// its own element (simd.h states the argument); a tail of n % kWidth
+// elements runs as one masked step whose dead lanes load zeros and are
+// never stored.
 
 using V = Lanes::V;
 using Mask = Lanes::Mask;
@@ -108,6 +109,42 @@ inline void LeakyReluBackward(double* out, const double* grad,
   const V sv = Lanes::Set1(slope);
   Map(out, grad, in, n, [zero, sv](auto g, auto v) {
     return Lanes::Select(Lanes::CmpLe(v, zero), Lanes::Mul(g, sv), g);
+  });
+}
+
+// The keep bits of the register at element j (a multiple of kW, so the
+// register's bits never straddle two words).
+inline Lanes::Cmp KeepLanes(const std::uint64_t* keep, std::size_t j) {
+  return Lanes::FromBits(keep[j / 64] >> (j % 64));
+}
+
+inline void LeakyReluDropoutForward(double* out, const double* in,
+                                    const std::uint64_t* keep, double slope,
+                                    double scale, std::size_t n) {
+  const V zero = Lanes::Zero();
+  const V sv = Lanes::Set1(slope);
+  const V scalev = Lanes::Set1(scale);
+  ForEachRegister(n, [&](auto part, std::size_t j, Mask m) {
+    const V v = Ld(part, in + j, m);
+    const V a = Lanes::Select(Lanes::CmpLe(v, zero), Lanes::Mul(sv, v), v);
+    St(part, out + j, m,
+       Lanes::Select(KeepLanes(keep, j), Lanes::Mul(a, scalev), zero));
+  });
+}
+
+inline void LeakyReluDropoutBackward(double* out, const double* grad,
+                                     const double* in,
+                                     const std::uint64_t* keep, double slope,
+                                     double scale, std::size_t n) {
+  const V zero = Lanes::Zero();
+  const V sv = Lanes::Set1(slope);
+  const V scalev = Lanes::Set1(scale);
+  ForEachRegister(n, [&](auto part, std::size_t j, Mask m) {
+    const V t = Lanes::Mul(Ld(part, grad + j, m),
+                           Lanes::Select(KeepLanes(keep, j), scalev, zero));
+    St(part, out + j, m,
+       Lanes::Select(Lanes::CmpLe(Ld(part, in + j, m), zero),
+                     Lanes::Mul(t, sv), t));
   });
 }
 

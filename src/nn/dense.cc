@@ -27,8 +27,8 @@ const la::Matrix& Dense::Forward(const la::Matrix& input, bool /*training*/) {
   GALE_CHECK_EQ(input.cols(), weight_.rows()) << "Dense input width";
   GALE_DCHECK_ALL_FINITE(input.data()) << "non-finite Dense input";
   head_ = nullptr;
-  input_cache_ = input;
-  input_cache_.MatMulInto(weight_, &out_);
+  input_.Set(input);
+  input.MatMulInto(weight_, &out_);
   out_.AddRowBroadcast(bias_);
   return out_;
 }
@@ -40,11 +40,11 @@ const la::Matrix& Dense::ForwardSplit(const la::SparseMatrix& head,
   GALE_DCHECK_EQ(head.rows() % 4, 0u) << "Dense head splits a row group";
   GALE_DCHECK_ALL_FINITE(tail.data()) << "non-finite Dense input";
   head_ = &head;
-  input_cache_ = tail;
+  input_.Set(tail);
   const size_t h = head.rows();
   out_.EnsureShape(h + tail.rows(), weight_.cols());
   head.GroupedMultiplyInto(weight_, &out_);
-  input_cache_.MatMulInto(weight_, &tail_out_);
+  tail.MatMulInto(weight_, &tail_out_);
   std::copy(tail_out_.data().begin(), tail_out_.data().end(),
             out_.RowPtr(h));
   out_.AddRowBroadcast(bias_);
@@ -58,8 +58,9 @@ const la::Matrix& Dense::Backward(const la::Matrix& grad_output) {
 }
 
 void Dense::BackwardParams(const la::Matrix& grad_output) {
+  const la::Matrix& input = input_.Get();
   const size_t h = head_ == nullptr ? 0 : head_->rows();
-  GALE_CHECK_EQ(grad_output.rows(), h + input_cache_.rows());
+  GALE_CHECK_EQ(grad_output.rows(), h + input.rows());
   GALE_CHECK_EQ(grad_output.cols(), weight_.cols());
   // Accumulates straight into the persistent grad buffers; with the
   // buffers zeroed (ZeroGrad precedes every Backward in the trainers)
@@ -67,15 +68,15 @@ void Dense::BackwardParams(const la::Matrix& grad_output) {
   // After a split forward the head's row groups come first, then the
   // tail's: the dense kernel's ascending row order on the stacked batch.
   if (head_ == nullptr) {
-    input_cache_.TransposedMatMulInto(grad_output, &grad_weight_,
-                                      /*accumulate=*/true);
+    input.TransposedMatMulInto(grad_output, &grad_weight_,
+                               /*accumulate=*/true);
   } else {
     head_->GroupedTransposedMultiplyInto(grad_output, &grad_weight_);
-    tail_grad_.EnsureShape(input_cache_.rows(), grad_output.cols());
+    tail_grad_.EnsureShape(input.rows(), grad_output.cols());
     std::copy(grad_output.RowPtr(h), grad_output.RowPtr(grad_output.rows()),
               tail_grad_.RowPtr(0));
-    input_cache_.TransposedMatMulInto(tail_grad_, &grad_weight_,
-                                      /*accumulate=*/true);
+    input.TransposedMatMulInto(tail_grad_, &grad_weight_,
+                               /*accumulate=*/true);
   }
   grad_output.ColSumInto(&grad_bias_, /*accumulate=*/true);
   GALE_DCHECK_ALL_FINITE(grad_weight_.data()) << "non-finite Dense dW";

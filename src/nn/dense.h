@@ -30,6 +30,8 @@ class Dense : public Layer {
   // computes dW as the grouped headᵀ·dZ_head, then adds tailᵀ·dZ_tail.
   // For dW to keep the stacked batch's bits, head.rows() must be a
   // multiple of 4, so no k-group of the dense Aᵀ·B straddles the split.
+  // Both forwards borrow their dense input (`input`, `tail`) for the
+  // backward passes' dW (layer.h).
   const la::Matrix& ForwardSplit(const la::SparseMatrix& head,
                                  const la::Matrix& tail);
   const la::Matrix& Backward(const la::Matrix& grad_output) override;
@@ -54,7 +56,7 @@ class Dense : public Layer {
   la::Matrix bias_;         // 1 x out
   la::Matrix grad_weight_;  // in x out
   la::Matrix grad_bias_;    // 1 x out
-  la::Matrix input_cache_;  // last forward input (the tail after a split)
+  BorrowedInput input_;     // last forward input (the tail after a split)
   la::Matrix out_;          // persistent forward output
   la::Matrix grad_input_;   // persistent backward output
   // The last forward's compressed head, or null after a plain Forward.

@@ -30,6 +30,14 @@
 // layer; callers that need the values longer must copy. Layers that are
 // identity in the current mode (e.g. Dropout in eval) may return `input`
 // itself.
+//
+// Inputs are borrowed, not copied: a layer whose backward pass reads its
+// input (Dense, LeakyReluDropout) keeps a pointer to the matrix Forward
+// was given. So the input of a Forward — in a Sequential, the stack input
+// and each layer's output, which the layer above borrows — must outlive
+// the following Backward or BackwardParams, unchanged: neither
+// reallocated, reshaped nor overwritten in between. A temporary passed to
+// Forward and then backpropagated breaks this.
 
 #ifndef GALE_NN_LAYER_H_
 #define GALE_NN_LAYER_H_
@@ -38,8 +46,37 @@
 #include <vector>
 
 #include "la/matrix.h"
+#include "util/check.h"
+#include "util/logging.h"
 
 namespace gale::nn {
+
+// A layer's borrowed input (the buffer contract above): Forward sets it,
+// the backward passes get it. GALE_DEBUG_CHECKS builds verify that the
+// matrix still has the buffer and shape it had at Forward.
+class BorrowedInput {
+ public:
+  void Set(const la::Matrix& m) {
+    matrix_ = &m;
+    data_ = m.data().data();
+    rows_ = m.rows();
+    cols_ = m.cols();
+  }
+
+  const la::Matrix& Get() const {
+    GALE_CHECK(matrix_ != nullptr) << "Backward before Forward";
+    GALE_DCHECK(matrix_->data().data() == data_ && matrix_->rows() == rows_ &&
+                matrix_->cols() == cols_)
+        << "a layer's borrowed input changed between Forward and Backward";
+    return *matrix_;
+  }
+
+ private:
+  const la::Matrix* matrix_ = nullptr;
+  const double* data_ = nullptr;
+  size_t rows_ = 0;
+  size_t cols_ = 0;
+};
 
 class Layer {
  public:

@@ -148,16 +148,19 @@ double ConditionalCrossEntropy(const la::Matrix& logits,
     for (size_t c = 1; c < num_real_classes; ++c) {
       max_logit = std::max(max_logit, in[c]);
     }
+    // The row's gradient entries hold the exponentials until q replaces
+    // them: one exp per class.
+    double* g = grad->RowPtr(r);
     double denom = 0.0;
     for (size_t c = 0; c < num_real_classes; ++c) {
-      denom += std::exp(in[c] - max_logit);
+      g[c] = std::exp(in[c] - max_logit);
+      denom += g[c];
     }
     const double log_p =
         in[label] - max_logit - std::log(std::max(denom, kEps));
     loss -= w * log_p;
-    double* g = grad->RowPtr(r);
     for (size_t c = 0; c < num_real_classes; ++c) {
-      const double q = std::exp(in[c] - max_logit) / denom;
+      const double q = g[c] / denom;
       g[c] = w * (q - (static_cast<int>(c) == label ? 1.0 : 0.0));
     }
   }

@@ -152,7 +152,7 @@ class SnapshotScorer {
  private:
   const ScoringSnapshot* snapshot_;
   size_t max_batch_;
-  // Dense/LeakyRelu mirror of the discriminator's eval forward (Dropout
+  // Dense/LeakyRelu mirror of the discriminator's eval forward (dropout
   // is identity in eval and is omitted; bitwise equal — see sgan.h).
   nn::Sequential forward_;
   la::Matrix input_;  // gathered feature rows, max_batch x d capacity

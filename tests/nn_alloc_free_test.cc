@@ -81,6 +81,34 @@ TEST(AllocFreeTest, DenseMlpTrainingStep) {
       "Dense MLP + Adam");
 }
 
+// D's first block: the fused layer's keep bits and buffers are reused
+// across steps.
+TEST(AllocFreeTest, LeakyReluDropoutTrainingStep) {
+  util::Rng rng(12);
+  nn::Sequential model;
+  model.Add(std::make_unique<nn::Dense>(12, 16, rng));
+  model.Add(std::make_unique<nn::LeakyReluDropout>(0.2, 0.3, rng));
+  model.Add(std::make_unique<nn::Dense>(16, 3, rng));
+  nn::Adam optimizer(nn::AdamOptions{});
+  la::Workspace ws;
+  la::Matrix grad;
+
+  const la::Matrix x = RandomMatrix(20, 12, 15);
+  std::vector<int> labels(20);
+  for (size_t r = 0; r < labels.size(); ++r) labels[r] = r % 3;
+  const std::vector<uint8_t> mask(20, 1);
+
+  ExpectSteadyStateAllocFree(
+      [&] {
+        const la::Matrix& logits = model.Forward(x, /*training=*/true);
+        nn::SoftmaxCrossEntropy(logits, labels, mask, &grad, {}, &ws);
+        model.ZeroGrad();
+        model.Backward(grad);
+        optimizer.Step(model.Parameters(), model.Gradients());
+      },
+      "Dense + LeakyReluDropout + Adam");
+}
+
 TEST(AllocFreeTest, GcnTrainingStep) {
   const size_t n = 24;
   const la::SparseMatrix adjacency =

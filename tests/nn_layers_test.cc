@@ -194,6 +194,114 @@ TEST(DropoutTest, GoldenBits) {
       << std::hex << "mask hash 0x" << HashBits(mask);
 }
 
+// LeakyReluDropout against the two layers it fuses and against the
+// formulas they applied before the fusion: dropout drops element i when
+// rng.Uniform() < rate, keeps lrelu(z)·scale otherwise, and backpropagates
+// t = g·(0 or scale), then t·slope where lrelu(z) <= 0.
+struct FusedCase {
+  size_t rows;
+  size_t cols;
+  double rate;
+  bool training;
+};
+
+// Edge inputs first (signed zeros, infinities, NaN, subnormals, and
+// negatives whose slope product underflows to -0.0 or a subnormal), then
+// normals; the edge gradients are the signed zeros and NaN.
+la::Matrix FusedInput(size_t rows, size_t cols, uint64_t seed) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> edge = {0.0,   -0.0,        inf,   -inf,
+                                    nan,   tiny,        -tiny, 1e-310,
+                                    -1e-310, -4.0 * tiny, -1e-300};
+  util::Rng rng(seed);
+  la::Matrix x = la::Matrix::RandomNormal(rows, cols, 1.0, rng);
+  for (size_t i = 0; i < x.size() && i < edge.size(); ++i) {
+    x.data()[(i * 5) % x.size()] = edge[i];
+  }
+  return x;
+}
+
+la::Matrix FusedGrad(size_t rows, size_t cols, uint64_t seed) {
+  const std::vector<double> edge = {0.0, -0.0,
+                                    std::numeric_limits<double>::quiet_NaN()};
+  util::Rng rng(seed);
+  la::Matrix g = la::Matrix::RandomNormal(rows, cols, 1.0, rng);
+  for (size_t i = 0; i < g.size() && i < edge.size(); ++i) {
+    g.data()[(i * 3 + 1) % g.size()] = edge[i];
+  }
+  return g;
+}
+
+bool SameBits(const la::Matrix& a, const la::Matrix& b) {
+  // memcmp takes no null pointer, which an empty matrix's data may be.
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 || std::memcmp(a.data().data(), b.data().data(),
+                                       a.size() * sizeof(double)) == 0);
+}
+
+TEST(LeakyReluDropoutTest, MatchesLeakyReluThenDropout) {
+  constexpr double kSlope = 0.2;
+  const std::vector<FusedCase> cases = {
+      {0, 3, 0.3, true},  {1, 1, 0.3, true},  {1, 7, 0.3, true},
+      {3, 3, 0.5, true},  {5, 13, 0.2, true}, {5, 13, 0.0, true},
+      {5, 13, 0.3, false}, {1, 9, 0.0, false}};
+  for (la::simd::Isa isa : la::simd::SupportedIsas()) {
+    la::simd::ScopedIsaOverride pin(isa);
+    for (const FusedCase& c : cases) {
+      SCOPED_TRACE(::testing::Message()
+                   << la::simd::IsaName(isa) << " " << c.rows << "x" << c.cols
+                   << " rate " << c.rate << " training " << c.training);
+      const la::Matrix x = FusedInput(c.rows, c.cols, 41);
+      const la::Matrix g = FusedGrad(c.rows, c.cols, 42);
+
+      util::Rng pair_rng(43);
+      LeakyRelu leaky(kSlope);
+      Dropout dropout(c.rate, pair_rng);
+      const la::Matrix pair_out =
+          dropout.Forward(leaky.Forward(x, c.training), c.training);
+      const la::Matrix pair_grad = leaky.Backward(dropout.Backward(g));
+
+      util::Rng fused_rng(43);
+      LeakyReluDropout fused(kSlope, c.rate, fused_rng);
+      const la::Matrix fused_out = fused.Forward(x, c.training);
+      const la::Matrix fused_grad = fused.Backward(g);
+
+      // The formulas the pair applied before the fusion.
+      util::Rng ref_rng(43);
+      const bool drops = c.training && c.rate > 0.0;
+      const double scale = 1.0 / (1.0 - c.rate);
+      la::Matrix ref_out(c.rows, c.cols);
+      la::Matrix ref_grad(c.rows, c.cols);
+      for (size_t i = 0; i < x.size(); ++i) {
+        const double z = x.data()[i];
+        const double a = z > 0.0 ? z : kSlope * z;
+        const bool drop = drops && ref_rng.Uniform() < c.rate;
+        ref_out.data()[i] = !drops ? a : drop ? 0.0 : a * scale;
+        const double t =
+            drops ? g.data()[i] * (drop ? 0.0 : scale) : g.data()[i];
+        ref_grad.data()[i] = a <= 0.0 ? t * kSlope : t;
+      }
+
+      EXPECT_TRUE(SameBits(fused_out, pair_out)) << "forward vs pair";
+      EXPECT_TRUE(SameBits(fused_grad, pair_grad)) << "backward vs pair";
+      EXPECT_TRUE(SameBits(fused_out, ref_out)) << "forward vs formula";
+      EXPECT_TRUE(SameBits(fused_grad, ref_grad)) << "backward vs formula";
+      // The same draws, so the generators end in the same state.
+      const uint64_t ref_next = ref_rng.Next();
+      EXPECT_EQ(fused_rng.Next(), ref_next);
+      EXPECT_EQ(pair_rng.Next(), ref_next);
+    }
+  }
+}
+
+TEST(LeakyReluDropoutDeathTest, RejectsBadSlopeAndRate) {
+  util::Rng rng(1);
+  EXPECT_DEATH({ LeakyReluDropout zero(0.0, 0.5, rng); }, "finite and > 0");
+  EXPECT_DEATH({ LeakyReluDropout one(0.2, 1.0, rng); }, "dropout rate");
+}
+
 TEST(BatchNormTest, NormalizesBatchInTraining) {
   BatchNorm bn(3);
   util::Rng rng(7);

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -263,6 +264,29 @@ TEST(SimdEquivalenceTest, PrimitivesAllTails) {
         return Concat({{relu, n}, {relu_grad, n}, {leaky, n}, {leaky_grad, n}});
       },
       "relu family");
+  CheckPrimitiveAllTails(
+      [](size_t n, GuardedBuffers& g) {
+        // Random keep bits over edge inputs (signed zeros, NaN, a
+        // subnormal) and a NaN gradient.
+        util::Rng bits_rng(25);
+        std::vector<uint64_t> keep((n + 63) / 64);
+        for (uint64_t& word : keep) word = bits_rng.Next();
+        std::vector<double> live = RandomVec(n, 26);
+        std::vector<double> grad_live = RandomVec(n, 27);
+        const double nan = std::numeric_limits<double>::quiet_NaN();
+        const double edge[] = {-0.0, 0.0, nan, -1e-310};
+        for (size_t i = 0; i < n && i < 4; ++i) live[i] = edge[i];
+        if (n > 5) grad_live[5] = nan;
+        const double* in = g.Put(live);
+        const double* grad = g.Put(grad_live);
+        double* out = g.Zeros(n);
+        double* out_grad = g.Zeros(n);
+        la::simd::LeakyReluDropoutForward(out, in, keep.data(), 0.2, 1.25, n);
+        la::simd::LeakyReluDropoutBackward(out_grad, grad, in, keep.data(),
+                                           0.2, 1.25, n);
+        return Concat({{out, n}, {out_grad, n}});
+      },
+      "LeakyReluDropout");
   CheckPrimitiveAllTails(
       [](size_t n, GuardedBuffers& g) {
         const double* grad = g.Random(n, 14);
